@@ -99,10 +99,11 @@ let tests =
             Core.Ex_oram_method.delete h ~row:id));
   ]
 
-(* Wire protocol v2: frames per PathORAM access over a real forked server
-   process.  v1 sent one synchronous frame per block — 2·(levels+1)·Z of
-   them per access; v2 batches the whole path into one Multi_get plus one
-   Multi_put. *)
+(* Wire frames per PathORAM access over a real forked server process.
+   v1 sent one synchronous frame per block — 2·(levels+1)·Z of them per
+   access; v2 batched the whole path into one Multi_get plus one
+   Multi_put; v7 sends each write-back with the next access's read, one
+   Put_get frame per access. *)
 let remote_frames_report ~accesses () =
   let fd, pid = Servsim.Remote_server.fork_server () in
   let conn = Servsim.Remote.connect_fd ~pid fd in
@@ -126,7 +127,7 @@ let remote_frames_report ~accesses () =
       let v1_frames = 2 * (Oram.Path_oram.levels o + 1) * 4 (* Z = 4 *) in
       Printf.printf
         "  remote PathORAM (n = 256): %.1f wire frames per access, %s/access\n\
-        \  (protocol v1 sent %d frames per access — one per path block)\n%!"
+        \  (protocol v1 sent %d frames per access — one per path block; v2 sent 2)\n%!"
         (float_of_int frames /. float_of_int accesses)
         (Bench_util.pretty_time (dt /. float_of_int accesses))
         v1_frames)
@@ -267,6 +268,6 @@ let run (opts : Bench_util.opts) =
       in
       Printf.printf "  %-42s %14s\n" name (Bench_util.pretty_time (est /. 1e9)))
     (List.sort compare rows);
-  Bench_util.header "Wire protocol v2: batched path I/O";
+  Bench_util.header "Wire protocol v7: one frame per path access";
   remote_frames_report ~accesses:(if opts.Bench_util.smoke then 8 else 64) ();
   Printf.printf "%!"

@@ -5,7 +5,9 @@ type t = {
   m : int;
   capacity : int;
   handles : (Attrset.t, Ex_oram_method.handle) Hashtbl.t;
-  order : Attrset.t list; (* lattice plan order: generators before supersets *)
+  mutable order : Attrset.t list;
+      (* every retained set, generators before supersets: the lattice plan,
+         then sets materialised later by [ensure] *)
   fds : Fdbase.Fd.t list;
   live_ids : (int, unit) Hashtbl.t;
   mutable next_id : int;
@@ -88,7 +90,9 @@ let delete t ~id =
   Hashtbl.remove t.live_ids id
 
 (* Materialise π_X for a set outside the retained lattice (needed when a
-   key-pruned FD must be re-checked after its LHS stopped being a key). *)
+   key-pruned FD must be re-checked after its LHS stopped being a key).
+   The new set joins [order] after its generators, so every later insert
+   and delete maintains it like a lattice node. *)
 let rec ensure t x =
   match Hashtbl.find_opt t.handles x with
   | Some h -> h
@@ -102,6 +106,7 @@ let rec ensure t x =
         (fun id () -> Ex_oram_method.insert_combined h ~gen1 ~gen2 ~row:id)
         t.live_ids;
       Hashtbl.replace t.handles x h;
+      t.order <- t.order @ [ x ];
       h
 
 let revalidate t =

@@ -43,7 +43,9 @@ val revalidate : t -> (Fdbase.Fd.t * bool) list
 (** Status of every initially discovered FD against the current data. *)
 
 val cardinality : t -> Attrset.t -> int option
-(** |π_X| if X is one of the retained lattice nodes. *)
+(** |π_X| if X is one of the retained lattice nodes, or a set an earlier
+    {!revalidate} materialised (maintained by every later update, like
+    a lattice node). *)
 
 val session : t -> Session.t
 val release : t -> unit

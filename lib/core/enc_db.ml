@@ -15,8 +15,9 @@ let outsource (session : Session.t) table =
   let name = Session.fresh_name session "db" in
   let store = Servsim.Server.create_store session.Session.server name in
   Servsim.Block_store.ensure store (n * m);
-  (* The whole upload is one bulk cipher call and one Multi_put frame /
-     round trip. *)
+  (* The whole upload is one bulk cipher call and one write frame / round
+     trip, sent before [outsource] returns: the outsourced database is on
+     the server, not in the client's outbox. *)
   let pts =
     List.init (n * m) (fun slot ->
         Codec.encode_value (Table.cell table ~row:(slot / m) ~col:(slot mod m)))
@@ -25,6 +26,7 @@ let outsource (session : Session.t) table =
     (List.mapi
        (fun slot ct -> (slot, ct))
        (Crypto.Cell_cipher.encrypt_many session.Session.cipher pts));
+  Servsim.Server.flush session.Session.server;
   { session; store; name; n; m }
 
 let read_cell t ~row ~col =

@@ -39,8 +39,10 @@ val modeled_network_seconds : ?rtt_s:float -> ?gbps:float -> report -> float
     client-server runtimes are dominated by this term for Sort.
 
     Since wire protocol v2, [step_round_trips] counts one trip per wire
-    frame (batched ORAM paths are one frame each way), so this estimate is
-    consistent with the frames an actual remote run performs. *)
+    frame, and since v7 a frame is paid by the operation that opens it
+    (a write-back rides with the next read, so a Path ORAM access is one
+    frame in steady state); this estimate is therefore consistent with
+    the frames an actual remote run performs. *)
 
 val discover :
   ?seed:int ->
@@ -52,12 +54,13 @@ val discover :
   Table.t ->
   report
 (** Run the whole protocol on a fresh session.  With [?remote] the
-    server side lives in a forked process and every store operation is a
-    real wire frame (see {!Servsim.Remote}); the report's cost ledger is
-    identical to a local run.  [oram_cache_levels] (default 0) enables
-    client-side treetop caching in the ORAM methods (see
-    {!Session.create}); it trades client memory for fewer, smaller wire
-    frames and leaves the discovered FDs unchanged. *)
+    server side lives in a forked process and every store read, and every
+    write batch not carried by a read, is a real wire frame (see
+    {!Servsim.Remote}); the report's cost ledger is identical to a local
+    run.  [oram_cache_levels] (default 0) enables client-side treetop
+    caching in the ORAM methods (see {!Session.create}); it trades
+    client memory for fewer, smaller wire frames and leaves the
+    discovered FDs unchanged. *)
 
 val partition_cardinality :
   ?seed:int -> ?oram_cache_levels:int -> method_ -> Table.t -> Attrset.t -> int * report

@@ -23,9 +23,10 @@ val create :
 (** Fresh session with a fresh server.  [seed] drives all client
     randomness (key, IVs, ORAM leaves) so runs are reproducible.  With
     [?remote] the server side lives in a separate process (see
-    {!Servsim.Remote_server}); every block access is a real wire round
-    trip.  [oram_cache_levels] (default 0) turns on treetop caching in
-    the ORAM-based methods: the top k levels of every ORAM tree are kept
+    {!Servsim.Remote_server}); every block read is a real wire round
+    trip, carrying the writes issued since the previous frame.
+    [oram_cache_levels] (default 0) turns on treetop caching in the
+    ORAM-based methods: the top k levels of every ORAM tree are kept
     decrypted client-side, trading client memory for fewer and smaller
     wire frames (see {!Oram.Path_oram.setup}). *)
 

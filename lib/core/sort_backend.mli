@@ -43,12 +43,13 @@ type t = {
   read : int -> elt;
   write : int -> elt -> unit;
   read_batch : int list -> elt list;
-      (** Batched read, one round trip for the whole list (one
-          [Multi_get] frame in remote mode).  A compare-exchange fetches
-          its two slots in a single frame through this. *)
+      (** Batched read, one frame for the whole list ([Multi_get], or
+          [Put_get] carrying the previous write-back, in remote mode).
+          A compare-exchange fetches its two slots in a single frame
+          through this. *)
   write_batch : (int * elt) list -> unit;
-      (** Batched write, one round trip for the whole list (one
-          [Multi_put] frame in remote mode). *)
+      (** Batched write: the whole list joins the server's write outbox
+          and rides with the next frame. *)
   make_worker : int -> (int -> elt) * (int -> elt -> unit);
       (** [make_worker w] — thread-private read/write closures for worker
           [w] (own cipher instance; no shared mutable state). *)

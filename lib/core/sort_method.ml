@@ -21,9 +21,9 @@ let network_for kind n =
 
 (* One compare-exchange; both slots are always rewritten so the server
    cannot tell whether a swap happened.  The serial path batches the two
-   fetches into one frame and the two write-backs into another, so an
-   exchange is two round trips on the wire (the ledger is maintained by
-   the block store). *)
+   fetches into one frame and the two write-backs into one batch that
+   rides with the next exchange's fetch, so an exchange is one round trip
+   on the wire (the ledger is maintained by the block store). *)
 let exchange_batched ~compare ~read_batch ~write_batch ~up i j =
   match read_batch [ i; j ] with
   | [ a; b ] ->
@@ -67,7 +67,7 @@ let compute ?(network = Bitonic) ?domains backend x =
   oblivious_sort ?domains net backend ~compare:compare_by_key;
   (* 2. Linear pass: replace key_X by its run index (the label).  Kept
      element-at-a-time — O(1) client memory, per §IV-D(c); each element is
-     one fetch frame and one write-back frame. *)
+     one frame: its fetch carries the previous element's write-back. *)
   let tmp = ref Pad in
   let card = ref 0 in
   for i = 0 to backend.n - 1 do
@@ -128,7 +128,7 @@ let combine ?network ?domains ?backend session x h1 h2 =
   let n = session.Session.n in
   let make = Option.value ~default:(fun ~n -> Sort_backend.encrypted session ~n) backend in
   let b = make ~n in
-  (* Two fetch frames (one per generator) and one write-back frame,
+  (* Two fetch frames (one per generator) and one write-back batch,
      instead of 3n single-block exchanges. *)
   let l1s = labels h1 and l2s = labels h2 in
   b.write_batch

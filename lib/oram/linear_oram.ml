@@ -46,8 +46,9 @@ let setup ~name ?cache_levels:_ cfg server cipher _rand =
 
 (* One full scan: decrypt every slot into the reused buffer, apply the
    logical operation to the matching slot (or claim the first free slot
-   on insert) in place, re-encrypt all.  The scan is two batched round
-   trips: one Multi_get for the whole array, one Multi_put to rewrite it.
+   on insert) in place, re-encrypt all.  The scan is one batched read of
+   the whole array (carrying the previous scan's rewrite) and one batched
+   rewrite, which waits in the server's write outbox for the next frame.
    Per-block work is offset views into the buffer — the only per-block
    allocation is each outgoing ciphertext. *)
 let access t ~key update =
@@ -142,7 +143,7 @@ let read t ~key = access t ~key (fun old -> old)
 let write t ~key v = ignore (access t ~key (fun _ -> Some v))
 let remove t ~key = ignore (access t ~key (fun _ -> None))
 
-let flush _ = ()
+let flush t = Servsim.Server.flush t.server
 
 let live_blocks t = t.live
 let client_state_bytes _ = 0

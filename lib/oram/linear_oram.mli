@@ -28,7 +28,8 @@ val write : t -> key:string -> string -> unit [@@lint.declassify "ORAM boundary:
 val remove : t -> key:string -> unit [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 
 val flush : t -> unit
-(** No-op: the linear ORAM holds no client-side cache. *)
+(** Send the server's write outbox (the last scan's pending rewrite); the
+    linear ORAM holds no client-side cache, so no block is written. *)
 
 val live_blocks : t -> int
 val client_state_bytes : t -> int

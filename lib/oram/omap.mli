@@ -72,7 +72,7 @@ val to_sorted_list : t -> (string * string) list [@@lint.declassify "ORAM bounda
 (** In-order contents (test use; not oblivious). *)
 
 val flush : t -> unit
-(** Checkpoint the backing ORAM's cached tree levels to the server (see
-    {!Path_oram.flush}); no-op when caching is off. *)
+(** Checkpoint the backing ORAM's cached tree levels to the server and
+    send the pending write-backs (see {!Path_oram.flush}). *)
 
 val destroy : t -> unit

@@ -119,8 +119,8 @@ let path_slots t leaf =
     (List.init (t.levels + 1 - t.cache_levels) Fun.id)
 
 (* Read the path to [leaf] into the stash.  Cached levels move their
-   residents into the stash with no I/O; the suffix is one batched round
-   trip (a single Multi_get frame in remote mode) decrypted into the
+   residents into the stash with no I/O; the suffix is one batched read
+   (a single frame, carrying the previous write-back) decrypted into the
    reused path buffer — per-block work allocates only for live blocks
    entering the stash, never for dummies. *)
 let fetch_path t leaf =
@@ -167,9 +167,10 @@ let fetch_path t leaf =
 
 (* Greedy eviction along the path to [leaf]: deepest buckets first.
    Suffix blocks are encoded into the path buffer and encrypted out of it
-   (one ciphertext allocation per block, nothing else), then flushed as
-   one batched round trip in the same leaf-to-root slot order — and the
-   same IV stream — the per-slot loop used.  Cached levels are refilled
+   (one ciphertext allocation per block, nothing else), then written as
+   one batch in the same leaf-to-root slot order — and the same IV
+   stream — the per-slot loop used; the batch waits in the write outbox
+   and rides with the next frame.  Cached levels are refilled
    client-side with no I/O. *)
 let evict_path t leaf =
   let pt_len = block_pt_len t.cfg in
@@ -227,7 +228,7 @@ let evict_path t leaf =
   done;
   (* Encrypt in append (leaf-to-root) order — the order the per-slot loop
      used, so the IV stream and the trace are both unchanged with the
-     cache off; the whole suffix is one round trip. *)
+     cache off; the whole suffix is one batch. *)
   let ct_len = Crypto.Cell_cipher.ciphertext_len ~plaintext_len:pt_len in
   Servsim.Block_store.write_many t.store
     (List.init nsuffix (fun j ->
@@ -242,9 +243,9 @@ let finish_access t =
   if occupancy > t.max_stash then t.max_stash <- occupancy;
   if occupancy > stash_limit t then t.overflows <- t.overflows + 1;
   t.accesses <- t.accesses + 1;
-  (* Round trips are counted by the block store: one for the batched
-     fetch, one for the batched evict — exactly the two wire frames a
-     remote access performs. *)
+  (* Round trips are counted by the block store: the fetch carries the
+     previous access's write-back and the evict opens a new frame — one
+     wire frame per access in steady state. *)
   sync_client_cost t
 
 let access t ~key update =
@@ -286,11 +287,12 @@ let dummy_access t =
   finish_access t
 
 (* Write the cached buckets back through the normal encrypted write path
-   (one batched round trip), so the server-side tree is a complete
-   checkpoint of the ORAM state (modulo the stash, which persists
-   client-side like the position map).  The cache stays authoritative —
-   subsequent accesses keep serving the treetop client-side.  A no-op
-   with the cache off: the trace and digests are untouched. *)
+   (joining the outbox), then send the outbox, so the server-side tree is
+   a complete checkpoint of the ORAM state (modulo the stash, which
+   persists client-side like the position map).  The cache stays
+   authoritative — subsequent accesses keep serving the treetop
+   client-side.  With the cache off only the pending write-back is sent:
+   the trace and digests are untouched. *)
 let flush t =
   let n = Array.length t.topcache in
   if n > 0 then begin
@@ -313,7 +315,8 @@ let flush t =
            let ct = Bytes.create ct_len in
            let _ = Crypto.Cell_cipher.encrypt_from t.cipher t.pbuf ~off:0 ~len:pt_len ct 0 in
            (j, (Bytes.unsafe_to_string ct [@lint.allow "R2:bytes-unsafe"]))))
-  end
+  end;
+  Servsim.Server.flush t.server
 
 let read t ~key = access t ~key (fun old -> old)
 let write t ~key v = ignore (access t ~key (fun _ -> Some v))

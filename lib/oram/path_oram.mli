@@ -48,10 +48,11 @@ val remove : t -> key:string -> unit [@@lint.declassify "ORAM boundary: the serv
 
 val flush : t -> unit
 (** Write the treetop cache back to the server through the normal
-    encrypted write path (one batched round trip), making the server-side
-    tree a complete checkpoint.  The cache stays authoritative for
-    subsequent accesses.  No-op (no I/O, no trace events) when
-    [cache_levels] is 0. *)
+    encrypted write path, then send the server's write outbox (see
+    {!Servsim.Server.flush}), making the server-side tree a complete
+    checkpoint.  The cache stays authoritative for subsequent accesses.
+    When [cache_levels] is 0 no block is written (no trace events): only
+    the pending write-back of the last access is sent. *)
 
 val live_blocks : t -> int
 val client_state_bytes : t -> int

@@ -10,9 +10,9 @@
    Treetop caching: with [cache_levels] = k > 0 every tree (data and map
    trees alike) keeps its top min(k, levels) levels decrypted
    client-side; an access reads only the path suffix of each tree, and
-   all trees' suffix evictions are deferred and flushed in one
-   cross-store [Scatter_put] frame at the end of the access — one write
-   frame per logical access instead of one per tree.  The fetches stay
+   all trees' suffix evictions are deferred into one cross-store batch
+   at the end of the access, which the server's write outbox sends with
+   the next frame.  The fetches stay
    one frame per tree: the leaf of tree i-1 is stored inside tree i's
    blocks, so the reads form a data-dependent chain that cannot be
    batched without a different construction.  With k = 0 the code path,
@@ -160,7 +160,8 @@ let path_slots tree leaf =
       List.init z (fun s -> (bucket * z) + s))
     (List.init (tree.levels + 1 - tree.cache_levels) Fun.id)
 
-(* One batched round trip per path fetch (a single Multi_get frame),
+(* One frame per path fetch (a single Multi_get, or Put_get carrying the
+   write outbox),
    decrypted into the tree's reused path buffer; cached levels move
    their residents to the stash with no I/O. *)
 let fetch_path t tree leaf =
@@ -211,9 +212,9 @@ let fetch_path t tree leaf =
    in the same leaf-to-root slot order — and the same IV stream — the
    per-slot loop used; cached levels are refilled client-side.  Returns
    the suffix (slot, ciphertext) writes instead of performing them, so
-   the caller can either flush immediately (cache off: one Multi_put per
-   tree, the historical wire schedule) or defer the whole access into a
-   single cross-store Scatter_put. *)
+   the caller can either write them at once (cache off: one batch per
+   tree, the historical trace order) or defer the whole access into a
+   single cross-store batch. *)
 let evict_collect t tree leaf =
   let pt_len = block_pt_len tree in
   let stride = slot_stride tree in
@@ -280,8 +281,8 @@ let evict_path t tree leaf =
   if t.defer then t.pending <- (tree.store, items) :: t.pending
   else Servsim.Block_store.write_many tree.store items
 
-(* Flush the access's deferred evictions: all trees' path suffixes in one
-   cross-store frame, groups in eviction order (deepest map tree first,
+(* Write the access's deferred evictions: all trees' path suffixes in one
+   cross-store batch, groups in eviction order (deepest map tree first,
    data tree last). *)
 let flush_pending t =
   if t.pending <> [] then begin
@@ -393,10 +394,10 @@ let write t ~key v = ignore (access t ~key (fun _ -> Some v))
 let remove t ~key = ignore (access t ~key (fun _ -> None))
 
 (* Write every tree's cached buckets back through the normal encrypted
-   write path — one cross-store frame — so the server-side trees are a
-   complete checkpoint (modulo stashes and the top map, which persist
-   client-side).  The caches stay authoritative.  A no-op with the cache
-   off. *)
+   write path — one cross-store batch — and send the outbox, so the
+   server-side trees are a complete checkpoint (modulo stashes and the
+   top map, which persist client-side).  The caches stay authoritative.
+   With the cache off only the pending write-backs are sent. *)
 let flush t =
   let groups =
     Array.to_list t.trees
@@ -423,7 +424,8 @@ let flush t =
                  let _ = Crypto.Cell_cipher.encrypt_from t.cipher tree.pbuf ~off:0 ~len:pt_len ct 0 in
                  (j, (Bytes.unsafe_to_string ct [@lint.allow "R2:bytes-unsafe"]))) ))
   in
-  Servsim.Block_store.write_scatter groups
+  Servsim.Block_store.write_scatter groups;
+  Servsim.Server.flush t.server
 
 let recursion_depth t = Array.length t.trees
 

@@ -35,10 +35,10 @@ val setup :
     and position-map trees alike — to keep its top
     [min cache_levels levels] levels decrypted client-side: accesses
     read/write only the path suffix below the cached prefix, and all
-    trees' evictions for one logical access are deferred and flushed as
-    a single cross-store write frame.  With [cache_levels = 0] the wire
-    schedule, trace, and ciphertext stream are bit-identical to the
-    uncached implementation. *)
+    trees' evictions for one logical access are deferred into a single
+    cross-store write batch.  With [cache_levels = 0] the trace and
+    ciphertext stream are bit-identical to the uncached
+    implementation. *)
 
 val access : t -> key:int -> (string option -> string option) -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val read : t -> key:int -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
@@ -50,9 +50,11 @@ val recursion_depth : t -> int
 
 val flush : t -> unit
 (** Write every tree's cached top levels back to the server through the
-    normal encrypted write path (one cross-store frame) so the
-    server-side trees form a complete checkpoint.  The caches stay
-    authoritative; no-op when [cache_levels = 0]. *)
+    normal encrypted write path (one cross-store batch), then send the
+    server's write outbox, so the server-side trees form a complete
+    checkpoint.  The caches stay authoritative.  With
+    [cache_levels = 0] no block is written: only the pending
+    write-backs are sent. *)
 
 val cache_levels : t -> int
 (** The largest effective treetop-cache depth across the recursion's

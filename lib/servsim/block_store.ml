@@ -4,12 +4,22 @@ type storage =
       (* [lengths] shadows the remote block sizes so the byte ledger can
          be maintained without extra round trips. *)
 
+(* The write outbox as the cost ledger sees it, shared by every store of
+   one server.  Writes are never sent on their own: remotely they queue
+   in the connection's outbox ({!Remote.queue_puts}) until the next read
+   carries them ([Put_get]) or another request sends them first.  A
+   frame is paid by the operation that opens it — the write into an
+   empty outbox — so in-process runs keep a flag mirroring "a paid frame
+   is still open" and the two modes' ledgers agree op for op. *)
+type outbox = { conn : Remote.t option; mutable open_frame : bool }
+
 type t = {
   name : string;
   tname : Trace.name; (* interned once; the recorder folds it per event *)
   trace : Trace.t;
   cost : Cost.t;
   on_resize : int -> unit; (* notify owner of byte-count delta *)
+  outbox : outbox;
   storage : storage;
   mutable len : int;
   mutable bytes : int;
@@ -19,13 +29,28 @@ let name t = t.name
 let length t = t.len
 let size_bytes t = t.bytes
 
-let create ~name ~trace ~on_resize ?remote cost =
+let outbox ?remote () = { conn = remote; open_frame = false }
+
+let pending o = match o.conn with Some conn -> Remote.pending conn | None -> o.open_frame
+
+let flush o = match o.conn with Some conn -> Remote.flush conn | None -> o.open_frame <- false
+
+(* Any request other than a block read or write: the remote [call] sends
+   the outbox ahead of it, which closes the open frame.  The in-process
+   flag follows only while the trace is on, like the rest of the ledger
+   (multi-domain sections must not share-write it). *)
+let request o ~traced req =
+  match o.conn with
+  | Some conn -> ignore (Remote.call conn req)
+  | None -> if traced then o.open_frame <- false
+
+let create ~name ~trace ~on_resize ~outbox cost =
   let storage =
-    match remote with
+    match outbox.conn with
     | Some conn -> Remote_conn { conn; lengths = Array.make 16 0 }
     | None -> Local_mem { blocks = Array.make 16 "" }
   in
-  { name; tname = Trace.name name; trace; cost; on_resize; storage; len = 0; bytes = 0 }
+  { name; tname = Trace.name name; trace; cost; on_resize; outbox; storage; len = 0; bytes = 0 }
 
 let grow_pow2 cur n =
   let cap = ref (max 16 cur) in
@@ -47,13 +72,14 @@ let ensure t n =
         let lengths = Array.make (grow_pow2 (Array.length r.lengths) n) 0 in
         Array.blit r.lengths 0 lengths 0 t.len;
         r.lengths <- lengths
-      end;
-      if n > t.len then ignore (Remote.call r.conn (Wire.Ensure (t.name, n))));
+      end);
   if n > t.len then begin
+    let traced = Trace.enabled t.trace in
+    request t.outbox ~traced (Wire.Ensure (t.name, n));
     t.len <- n;
     (* Growing is one wire frame in remote mode; charge the same in the
        local sim so both ledgers agree. *)
-    if Trace.enabled t.trace then Cost.round_trip t.cost
+    if traced then Cost.round_trip t.cost
   end
 
 let check_bounds t i fname =
@@ -76,156 +102,82 @@ let resize t delta =
 
 (* When the trace is disabled (multi-domain sections), cost accounting is
    suspended too: the shared counters would otherwise bounce between the
-   domains' caches and serialise the workers. *)
-let read t i =
-  check_bounds t i "read";
-  let c =
-    match t.storage with
-    | Local_mem s -> s.blocks.(i)
-    | Remote_conn r -> (
-        match Remote.call r.conn (Wire.Get (t.name, i)) with
-        | Wire.Value v -> v
-        | _ -> raise (Wire.Protocol_error "unexpected response to Get"))
-  in
-  if Trace.enabled t.trace then begin
-    Trace.record_name t.trace t.tname Trace.Read ~addr:i ~len:(String.length c);
-    Cost.sent_to_client t.cost (String.length c);
-    Cost.round_trip t.cost
-  end;
-  c
+   domains' caches and serialise the workers.
 
-let write t i c =
-  check_bounds t i "write";
-  let old_len =
+   A read pays one round trip unless it carries an open write frame,
+   which its opener already paid for. *)
+let read_block_op t fname idxs fetch =
+  List.iter (fun i -> check_bounds t i fname) idxs;
+  let traced = Trace.enabled t.trace in
+  let carried = pending t.outbox in
+  let cs =
     match t.storage with
     | Local_mem s ->
-        let old = String.length s.blocks.(i) in
-        s.blocks.(i) <- c;
-        old
-    | Remote_conn r ->
-        ignore (Remote.call r.conn (Wire.Put (t.name, i, c)));
-        let old = r.lengths.(i) in
-        r.lengths.(i) <- String.length c;
-        old
+        if traced then t.outbox.open_frame <- false;
+        List.map (fun i -> s.blocks.(i)) idxs
+    | Remote_conn r -> fetch r.conn
   in
-  resize t (String.length c - old_len);
-  if Trace.enabled t.trace then begin
-    Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
-    Cost.sent_to_server t.cost (String.length c);
-    Cost.round_trip t.cost
-  end
+  if traced then begin
+    List.iter2
+      (fun i c ->
+        Trace.record_name t.trace t.tname Trace.Read ~addr:i ~len:(String.length c);
+        Cost.sent_to_client t.cost (String.length c))
+      idxs cs;
+    if not carried then Cost.round_trip t.cost
+  end;
+  cs
 
-(* Batched operations: the trace still records one event per block (same
-   order as the equivalent loop of singles, so obliviousness digests are
-   unchanged), but the whole batch is one wire frame / one round trip. *)
+let read t i =
+  List.hd (read_block_op t "read" [ i ] (fun conn -> [ Remote.get conn ~store:t.name i ]))
 
+(* Batched read: the trace still records one event per block (same order
+   as the equivalent loop of singles, so obliviousness digests are
+   unchanged), but the whole batch is one wire frame. *)
 let read_many t idxs =
-  List.iter (fun i -> check_bounds t i "read_many") idxs;
   if idxs = [] then []
-  else begin
-    let cs =
-      match t.storage with
-      | Local_mem s -> List.map (fun i -> s.blocks.(i)) idxs
-      | Remote_conn r -> Remote.multi_get r.conn ~store:t.name idxs
-    in
-    if Trace.enabled t.trace then begin
-      List.iter2
-        (fun i c ->
-          Trace.record_name t.trace t.tname Trace.Read ~addr:i ~len:(String.length c);
-          Cost.sent_to_client t.cost (String.length c))
-        idxs cs;
-      Cost.round_trip t.cost
-    end;
-    cs
-  end
+  else read_block_op t "read_many" idxs (fun conn -> Remote.multi_get conn ~store:t.name idxs)
 
-(* Cross-store batched write: every group's items land in one wire frame
-   ([Scatter_put] in remote mode) and one round trip, traced one event
-   per block in group order — the recursive ORAM's deferred path-suffix
-   evictions.  All stores must live on the same server (they share its
-   trace and cost ledger); the batch is validated whole before anything
-   is mutated, mirroring the server-side handler. *)
-let write_scatter groups =
-  let groups = List.filter (fun (_, items) -> items <> []) groups in
-  match groups with
+(* Every write — single, batch or cross-store — lands in the outbox:
+   applied (in-process) or mirrored (remote) now, traced now, one event
+   per block in group then item order, and sent with the next frame.  It
+   pays one round trip only when it opens the outbox.  All stores must
+   live on the same server (they share its trace, ledger and outbox);
+   the batch is bounds-checked whole before anything is mutated,
+   mirroring the server-side handler. *)
+let write_groups fname groups =
+  match List.filter (fun (_, items) -> items <> []) groups with
   | [] -> ()
-  | (t0, _) :: _ ->
+  | (t0, _) :: _ as groups ->
+      List.iter (fun (t, items) -> List.iter (fun (i, _) -> check_bounds t i fname) items) groups;
+      let traced = Trace.enabled t0.trace in
+      let opens = not (pending t0.outbox) in
+      (match t0.outbox.conn with
+      | Some conn -> Remote.queue_puts conn (List.map (fun (t, items) -> (t.name, items)) groups)
+      | None -> if traced then t0.outbox.open_frame <- true);
       List.iter
-        (fun (t, items) -> List.iter (fun (i, _) -> check_bounds t i "write_scatter") items)
-        groups;
-      let apply_group (t, items) =
-        let old_lens =
-          match t.storage with
-          | Local_mem s ->
-              List.map
-                (fun (i, c) ->
-                  let old = String.length s.blocks.(i) in
-                  s.blocks.(i) <- c;
-                  old)
-                items
-          | Remote_conn r ->
-              List.map
-                (fun (i, c) ->
-                  let old = r.lengths.(i) in
-                  r.lengths.(i) <- String.length c;
-                  old)
-                items
-        in
-        List.iter2 (fun (_, c) old -> resize t (String.length c - old)) items old_lens
-      in
-      (match t0.storage with
-      | Local_mem _ -> ()
-      | Remote_conn r ->
-          (* One frame for the whole cross-store batch; the mirrored
-             lengths are updated by [apply_group] below. *)
-          Remote.scatter_put_async r.conn
-            (List.map (fun (t, items) -> (t.name, items)) groups));
-      List.iter apply_group groups;
-      if Trace.enabled t0.trace then begin
-        List.iter
-          (fun (t, items) ->
-            List.iter
-              (fun (i, c) ->
+        (fun (t, items) ->
+          List.iter
+            (fun (i, c) ->
+              let old =
+                match t.storage with
+                | Local_mem s ->
+                    let old = String.length s.blocks.(i) in
+                    s.blocks.(i) <- c;
+                    old
+                | Remote_conn r ->
+                    let old = r.lengths.(i) in
+                    r.lengths.(i) <- String.length c;
+                    old
+              in
+              resize t (String.length c - old);
+              if traced then begin
                 Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
-                Cost.sent_to_server t.cost (String.length c))
-              items)
-          groups;
-        Cost.round_trip t0.cost
-      end
+                Cost.sent_to_server t.cost (String.length c)
+              end)
+            items)
+        groups;
+      if traced && opens then Cost.round_trip t0.cost
 
-let write_many t items =
-  List.iter (fun (i, _) -> check_bounds t i "write_many") items;
-  if items <> [] then begin
-    let old_lens =
-      match t.storage with
-      | Local_mem s ->
-          List.map
-            (fun (i, c) ->
-              let old = String.length s.blocks.(i) in
-              s.blocks.(i) <- c;
-              old)
-            items
-      | Remote_conn r ->
-          (* Fire-and-forget on a pipelined connection (bounded by its
-             depth; identical to the synchronous put at depth 1).  The
-             next read/call on the connection collects the ordered
-             acknowledgements, so errors are never silently dropped and
-             the frame ledger is the same either way. *)
-          Remote.multi_put_async r.conn ~store:t.name items;
-          List.map
-            (fun (i, c) ->
-              let old = r.lengths.(i) in
-              r.lengths.(i) <- String.length c;
-              old)
-            items
-    in
-    List.iter2 (fun (_, c) old -> resize t (String.length c - old)) items old_lens;
-    if Trace.enabled t.trace then begin
-      List.iter
-        (fun (i, c) ->
-          Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
-          Cost.sent_to_server t.cost (String.length c))
-        items;
-      Cost.round_trip t.cost
-    end
-  end
+let write t i c = write_groups "write" [ (t, [ (i, c) ]) ]
+let write_many t items = write_groups "write_many" [ (t, items) ]
+let write_scatter groups = write_groups "write_scatter" groups

@@ -150,6 +150,59 @@ let basic_stats st =
       dyn_sessions = (if Option.is_some st.dyn then 1 else 0);
     }
 
+let in_bounds s i = i >= 0 && i < s.len
+
+(* Resolve every store of a write batch up front: a missing store raises
+   before anything is mutated. *)
+let resolve st groups = List.map (fun (name, items) -> (name, find st name, items)) groups
+
+let groups_in_bounds resolved =
+  List.for_all (fun (_, s, items) -> List.for_all (fun (i, _) -> in_bounds s i) items) resolved
+
+let apply_puts st resolved =
+  List.iter
+    (fun (name, s, items) ->
+      List.iter
+        (fun (i, c) ->
+          st.bytes <- st.bytes - String.length s.blocks.(i) + String.length c;
+          s.blocks.(i) <- c;
+          Trace.record st.trace
+            { Trace.store = name; op = Trace.Write; addr = i; len = String.length c })
+        items)
+    resolved
+
+(* Writes ([Put], [Multi_put], [Scatter_put]): validated whole before
+   anything is mutated, so a batch lands whole or not at all. *)
+let scatter_put st groups =
+  let resolved = resolve st groups in
+  if not (groups_in_bounds resolved) then Wire.Error "index out of bounds"
+  else begin
+    apply_puts st resolved;
+    Wire.Ok
+  end
+
+(* The client's deferred writes, then one batched read ([Multi_get] is the
+   case with no writes).  Every store and index — put and get part alike
+   — is validated before the first mutation or trace event; the writes
+   are applied and traced before the reads, the order in which the
+   client issued them. *)
+let put_get st puts name idxs =
+  let resolved = resolve st puts in
+  let s = find st name in
+  if not (groups_in_bounds resolved && List.for_all (in_bounds s) idxs) then
+    Wire.Error "index out of bounds"
+  else begin
+    apply_puts st resolved;
+    Wire.Values
+      (List.map
+         (fun i ->
+           let c = s.blocks.(i) in
+           Trace.record st.trace
+             { Trace.store = name; op = Trace.Read; addr = i; len = String.length c };
+           c)
+         idxs)
+  end
+
 let handle st = function
   | Wire.Create_store name ->
       if Hashtbl.mem st.stores name then Wire.Error ("store exists: " ^ name)
@@ -171,71 +224,17 @@ let handle st = function
       Wire.Ok
   | Wire.Get (name, i) ->
       let s = find st name in
-      if i < 0 || i >= s.len then Wire.Error "index out of bounds"
+      if not (in_bounds s i) then Wire.Error "index out of bounds"
       else begin
         let c = s.blocks.(i) in
         Trace.record st.trace { Trace.store = name; op = Trace.Read; addr = i; len = String.length c };
         Wire.Value c
       end
-  | Wire.Put (name, i, c) ->
-      let s = find st name in
-      if i < 0 || i >= s.len then Wire.Error "index out of bounds"
-      else begin
-        st.bytes <- st.bytes - String.length s.blocks.(i) + String.length c;
-        s.blocks.(i) <- c;
-        Trace.record st.trace { Trace.store = name; op = Trace.Write; addr = i; len = String.length c };
-        Wire.Ok
-      end
-  | Wire.Multi_get (name, idxs) ->
-      let s = find st name in
-      if List.exists (fun i -> i < 0 || i >= s.len) idxs then Wire.Error "index out of bounds"
-      else
-        Wire.Values
-          (List.map
-             (fun i ->
-               let c = s.blocks.(i) in
-               Trace.record st.trace
-                 { Trace.store = name; op = Trace.Read; addr = i; len = String.length c };
-               c)
-             idxs)
-  | Wire.Multi_put (name, items) ->
-      let s = find st name in
-      (* Validate every index before mutating anything: a batch either
-         lands whole or not at all. *)
-      if List.exists (fun (i, _) -> i < 0 || i >= s.len) items then
-        Wire.Error "index out of bounds"
-      else begin
-        List.iter
-          (fun (i, c) ->
-            st.bytes <- st.bytes - String.length s.blocks.(i) + String.length c;
-            s.blocks.(i) <- c;
-            Trace.record st.trace
-              { Trace.store = name; op = Trace.Write; addr = i; len = String.length c })
-          items;
-        Wire.Ok
-      end
-  | Wire.Scatter_put groups ->
-      (* Resolve every store and validate every index before mutating
-         anything: the cross-store batch lands whole or not at all. *)
-      let resolved = List.map (fun (name, items) -> (name, find st name, items)) groups in
-      if
-        List.exists
-          (fun (_, s, items) -> List.exists (fun (i, _) -> i < 0 || i >= s.len) items)
-          resolved
-      then Wire.Error "index out of bounds"
-      else begin
-        List.iter
-          (fun (name, s, items) ->
-            List.iter
-              (fun (i, c) ->
-                st.bytes <- st.bytes - String.length s.blocks.(i) + String.length c;
-                s.blocks.(i) <- c;
-                Trace.record st.trace
-                  { Trace.store = name; op = Trace.Write; addr = i; len = String.length c })
-              items)
-          resolved;
-        Wire.Ok
-      end
+  | Wire.Put (name, i, c) -> scatter_put st [ (name, [ (i, c) ]) ]
+  | Wire.Multi_get (name, idxs) -> put_get st [] name idxs
+  | Wire.Multi_put (name, items) -> scatter_put st [ (name, items) ]
+  | Wire.Scatter_put groups -> scatter_put st groups
+  | Wire.Put_get { puts; store; idxs } -> put_get st puts store idxs
   | Wire.Begin_dynamic _ as req -> (
       match st.dyn with
       | Some _ -> Wire.Error "dynamic session already active"

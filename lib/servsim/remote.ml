@@ -14,6 +14,11 @@ type t = {
   puts : string Queue.t; (* op label per outstanding async put, for errors *)
   mutable manual : int;
   mutable unflushed : bool;
+  (* The write outbox: block writes queued by {!queue_puts}, newest group
+     first.  The next read carries them in a [Put_get] frame; any other
+     request first sends them as one [Scatter_put], so no request ever
+     overtakes a pending write. *)
+  mutable outbox : (string * (int * string) list) list;
 }
 
 let default_namespace = "default"
@@ -30,7 +35,8 @@ let connect_fd ?pid ?(namespace = default_namespace) ?(depth = default_depth) fd
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let t =
     { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd; pid; depth;
-      frames = 0; closed = false; puts = Queue.create (); manual = 0; unflushed = false }
+      frames = 0; closed = false; puts = Queue.create (); manual = 0; unflushed = false;
+      outbox = [] }
   in
   (* Version handshake: both sides announce; a stale client against a new
      server (or vice versa) fails here with a clear error instead of a
@@ -128,7 +134,8 @@ let require_no_manual t op =
       (Wire.Protocol_error
          (op ^ ": " ^ string_of_int t.manual ^ " raw send(s) outstanding; recv them first"))
 
-let call t req =
+(* One request/response exchange, without looking at the outbox. *)
+let exchange t req =
   if t.closed then raise (Wire.Protocol_error "connection closed");
   require_no_manual t "call";
   (* Order matters: every queued response precedes ours on the wire. *)
@@ -139,8 +146,49 @@ let call t req =
   | Wire.Error msg -> raise (Wire.Protocol_error msg)
   | resp -> resp
 
+let expect_ok ~what = function
+  | Wire.Ok -> ()
+  | _ -> raise (Wire.Protocol_error ("unexpected response to " ^ what))
+
+(* Fire-and-forget on a pipelined connection.  Bounded window: collect
+   the oldest acknowledgement once the pipeline is full, so a slow server
+   applies backpressure instead of the client buffering without limit. *)
+let send_async t ~what req =
+  require_no_manual t what;
+  while Queue.length t.puts >= t.depth do
+    drain_one t
+  done;
+  send_nf t req;
+  Queue.push what t.puts
+
+let pending t = t.outbox <> []
+
+let queue_puts t groups =
+  if t.closed then raise (Wire.Protocol_error "connection closed");
+  List.iter (fun ((_, items) as g) -> if items <> [] then t.outbox <- g :: t.outbox) groups
+
+let take_outbox t =
+  let groups = List.rev t.outbox in
+  t.outbox <- [];
+  groups
+
+(* Send the outbox as one [Scatter_put]: synchronous at depth 1,
+   fire-and-forget on a pipelined connection. *)
+let flush t =
+  if t.outbox <> [] then begin
+    let req = Wire.Scatter_put (take_outbox t) in
+    if t.depth <= 1 then expect_ok ~what:"Scatter_put" (exchange t req)
+    else send_async t ~what:"Scatter_put" req
+  end
+
+let call t req =
+  if t.closed then raise (Wire.Protocol_error "connection closed");
+  flush t;
+  exchange t req
+
 let send t req =
   if t.closed then raise (Wire.Protocol_error "connection closed");
+  flush t;
   drain t;
   if t.manual >= t.depth then
     raise (Wire.Protocol_error "send: pipeline full; recv a response first");
@@ -160,6 +208,7 @@ let recv t =
 let pipelined t reqs =
   if t.closed then raise (Wire.Protocol_error "connection closed");
   require_no_manual t "pipelined";
+  flush t;
   drain t;
   let reqs = Array.of_list reqs in
   let n = Array.length reqs in
@@ -179,58 +228,40 @@ let pipelined t reqs =
   done;
   Array.to_list resps
 
+let values_of ~what ~n = function
+  | Wire.Values vs ->
+      if List.compare_lengths vs n <> 0 then
+        raise (Wire.Protocol_error (what ^ ": value count does not match index count"));
+      vs
+  | _ -> raise (Wire.Protocol_error ("unexpected response to " ^ what))
+
+(* A read carries the outbox: one [Put_get] frame applies the pending
+   writes and then serves the read. *)
 let multi_get t ~store idxs =
   if idxs = [] then []
+  else if t.outbox = [] then
+    values_of ~what:"Multi_get" ~n:idxs (call t (Wire.Multi_get (store, idxs)))
   else
-    match call t (Wire.Multi_get (store, idxs)) with
-    | Wire.Values vs ->
-        if List.compare_lengths vs idxs <> 0 then
-          raise (Wire.Protocol_error "Multi_get: value count does not match index count");
-        vs
-    | _ -> raise (Wire.Protocol_error "unexpected response to Multi_get")
+    let puts = take_outbox t in
+    values_of ~what:"Put_get" ~n:idxs (exchange t (Wire.Put_get { puts; store; idxs }))
+
+let get t ~store i =
+  if t.outbox <> [] then List.hd (multi_get t ~store [ i ])
+  else
+    match call t (Wire.Get (store, i)) with
+    | Wire.Value v -> v
+    | _ -> raise (Wire.Protocol_error "unexpected response to Get")
 
 let multi_put t ~store items =
-  if items = [] then ()
-  else
-    match call t (Wire.Multi_put (store, items)) with
-    | Wire.Ok -> ()
-    | _ -> raise (Wire.Protocol_error "unexpected response to Multi_put")
+  if items <> [] then expect_ok ~what:"Multi_put" (call t (Wire.Multi_put (store, items)))
 
 let multi_put_async t ~store items =
   if items <> [] then begin
     if t.closed then raise (Wire.Protocol_error "connection closed");
     if t.depth <= 1 then multi_put t ~store items
     else begin
-      require_no_manual t "multi_put_async";
-      (* Bounded window: collect the oldest acknowledgement once the
-         pipeline is full, so a slow server applies backpressure instead
-         of the client buffering without limit. *)
-      while Queue.length t.puts >= t.depth do
-        drain_one t
-      done;
-      send_nf t (Wire.Multi_put (store, items));
-      Queue.push "Multi_put" t.puts
-    end
-  end
-
-let scatter_put t groups =
-  if List.for_all (fun (_, items) -> items = []) groups then ()
-  else
-    match call t (Wire.Scatter_put groups) with
-    | Wire.Ok -> ()
-    | _ -> raise (Wire.Protocol_error "unexpected response to Scatter_put")
-
-let scatter_put_async t groups =
-  if not (List.for_all (fun (_, items) -> items = []) groups) then begin
-    if t.closed then raise (Wire.Protocol_error "connection closed");
-    if t.depth <= 1 then scatter_put t groups
-    else begin
-      require_no_manual t "scatter_put_async";
-      while Queue.length t.puts >= t.depth do
-        drain_one t
-      done;
-      send_nf t (Wire.Scatter_put groups);
-      Queue.push "Scatter_put" t.puts
+      flush t;
+      send_async t ~what:"Multi_put" (Wire.Multi_put (store, items))
     end
   end
 

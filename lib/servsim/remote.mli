@@ -33,9 +33,33 @@ val connect_tcp : ?namespace:string -> ?depth:int -> host:string -> port:int -> 
     hostname; [TCP_NODELAY] is set), then behaves as {!connect_fd}. *)
 
 val call : t -> Wire.request -> Wire.response
-(** Synchronous request/response; first collects every outstanding
-    {!multi_put_async} acknowledgement (ordered matching).
+(** Synchronous request/response; first sends the write outbox (see
+    {!queue_puts}) and collects every outstanding {!multi_put_async}
+    acknowledgement (ordered matching).
     @raise Wire.Protocol_error on an [Error] response. *)
+
+(** {2 Write outbox (protocol v7)}
+
+    Block writes need no answer, so the client defers them: {!queue_puts}
+    only records the groups, and the next {!multi_get}/{!get} sends them
+    in the same [Put_get] frame as the read.  Every other request —
+    {!call}, {!send}, {!pipelined}, the explicit put operations and
+    {!close} — first sends the pending groups as one [Scatter_put], so
+    no request overtakes a write and the server applies the same block
+    events in the same order as with immediate writes.  A write error
+    (a store dropped server-side) surfaces on the frame that carries
+    it. *)
+
+val queue_puts : t -> (string * (int * string) list) list -> unit
+(** Append write groups (store, (slot, ciphertext) list) to the outbox,
+    skipping empty groups.  Sends nothing. *)
+
+val pending : t -> bool
+(** Does the outbox hold writes not yet on the wire? *)
+
+val flush : t -> unit
+(** Send the outbox as one [Scatter_put] frame (fire-and-forget when
+    [depth > 1], like {!multi_put_async}); no frame when it is empty. *)
 
 val depth : t -> int
 (** The connection's pipelining depth (>= 1). *)
@@ -73,20 +97,16 @@ val recv : t -> Wire.response
     @raise Wire.Protocol_error when nothing is in flight. *)
 
 val multi_get : t -> store:string -> int list -> string list
-(** One [Multi_get] frame; values in index order.  No-op (no frame) on the
-    empty list. *)
+(** One frame; values in index order: [Multi_get], or [Put_get] carrying
+    the outbox when it is non-empty.  No-op (no frame) on the empty
+    list. *)
+
+val get : t -> store:string -> int -> string
+(** One frame reading a single slot: [Get], or a one-index [Put_get]
+    carrying the outbox when it is non-empty. *)
 
 val multi_put : t -> store:string -> (int * string) list -> unit
 (** One [Multi_put] frame.  No-op (no frame) on the empty list. *)
-
-val scatter_put : t -> (string * (int * string) list) list -> unit
-(** One [Scatter_put] frame writing batches across several stores.
-    No-op (no frame) when every group is empty. *)
-
-val scatter_put_async : t -> (string * (int * string) list) list -> unit
-(** Fire-and-forget {!scatter_put} on a pipelined connection, with the
-    same bounded-window backpressure as {!multi_put_async}.  Identical
-    to {!scatter_put} at depth 1. *)
 
 (** {2 Dynamic FD sessions (protocol v5)}
 
@@ -140,4 +160,5 @@ val server_digests : t -> int64 * int64 * int
 (** The server's own (full, shape, count). *)
 
 val close : t -> unit
-(** Send [Bye], close the channel, reap the child if any. *)
+(** Send the outbox and [Bye], close the channel, reap the child if
+    any. *)

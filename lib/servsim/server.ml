@@ -3,6 +3,7 @@ type t = {
   cost : Cost.t;
   stores : (string, Block_store.t) Hashtbl.t;
   remote : Remote.t option;
+  outbox : Block_store.outbox; (* shared by every store: see Block_store *)
   mutable bytes : int;
 }
 
@@ -12,6 +13,7 @@ let create ?keep_events ?remote () =
     cost = Cost.create ();
     stores = Hashtbl.create 32;
     remote;
+    outbox = Block_store.outbox ?remote ();
     bytes = 0;
   }
 
@@ -24,17 +26,16 @@ let sync_cost t = Cost.set_server_bytes t.cost t.bytes
 let create_store t name =
   if Hashtbl.mem t.stores name then
     invalid_arg (Printf.sprintf "Server.create_store: store %s already exists" name);
-  (match t.remote with
-  | Some conn -> ignore (Remote.call conn (Wire.Create_store name))
-  | None -> ());
+  let traced = Trace.enabled t.trace in
+  Block_store.request t.outbox ~traced (Wire.Create_store name);
   let on_resize delta =
     t.bytes <- t.bytes + delta;
     sync_cost t
   in
-  let store = Block_store.create ~name ~trace:t.trace ~on_resize ?remote:t.remote t.cost in
+  let store = Block_store.create ~name ~trace:t.trace ~on_resize ~outbox:t.outbox t.cost in
   Hashtbl.replace t.stores name store;
   (* One wire frame in remote mode; charged identically in the local sim. *)
-  if Trace.enabled t.trace then Cost.round_trip t.cost;
+  if traced then Cost.round_trip t.cost;
   store
 
 let find_store t name =
@@ -46,13 +47,15 @@ let drop_store t name =
   match Hashtbl.find_opt t.stores name with
   | None -> ()
   | Some s ->
-      (match t.remote with
-      | Some conn -> ignore (Remote.call conn (Wire.Drop_store name))
-      | None -> ());
+      let traced = Trace.enabled t.trace in
+      Block_store.request t.outbox ~traced (Wire.Drop_store name);
       t.bytes <- t.bytes - Block_store.size_bytes s;
       sync_cost t;
-      if Trace.enabled t.trace then Cost.round_trip t.cost;
+      if traced then Cost.round_trip t.cost;
       Hashtbl.remove t.stores name
+
+let pending t = Block_store.pending t.outbox
+let flush t = Block_store.flush t.outbox
 
 let total_bytes t = t.bytes
 

@@ -28,6 +28,18 @@ val find_store : t -> string -> Block_store.t
 val drop_store : t -> string -> unit
 (** Releases a store's space (e.g. partitions of pruned lattice nodes). *)
 
+val pending : t -> bool
+(** Does the write outbox hold a paid frame not yet on the wire?  (See
+    {!Block_store} for the ledger rule.) *)
+
+val flush : t -> unit
+(** Send the write outbox now (remote: one [Scatter_put] frame), so the
+    server holds every write issued so far.  No round trip is charged:
+    the write that opened the frame paid for it.  Protocol flush points
+    ([Enc_db.outsource], ORAM [flush]) end with this; store creation,
+    growth and removal flush implicitly, and so does closing the
+    connection. *)
+
 val total_bytes : t -> int
 (** Current server-side storage across all stores. *)
 

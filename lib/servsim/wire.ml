@@ -10,6 +10,8 @@ type request =
   | Scatter_put of (string * (int * string) list) list
       (* cross-store batched write: all groups land in one frame (the
          recursive ORAM's deferred path-suffix evictions) *)
+  | Put_get of { puts : (string * (int * string) list) list; store : string; idxs : int list }
+      (* the client's deferred writes, then one batched read, in one frame *)
   | Digest
   | Total_bytes
   | Ping
@@ -63,7 +65,7 @@ type response =
 exception Protocol_error of string
 exception Incomplete
 
-let protocol_version = 6
+let protocol_version = 7
 
 (* Hard caps on what a length prefix may claim.  A corrupt or truncated
    stream must fail with [Protocol_error], not drive the reader into a
@@ -236,6 +238,27 @@ let write_hello oc =
 
 let read_hello ic = Char.code (input_char ic)
 
+let put_groups k groups =
+  put_count k (List.length groups);
+  List.iter
+    (fun (s, items) ->
+      put_string k s;
+      put_count k (List.length items);
+      List.iter
+        (fun (i, v) ->
+          put_u32 k i;
+          put_string k v)
+        items)
+    groups
+
+let get_groups src =
+  get_list src (fun src ->
+      let s = get_string src in
+      ( s,
+        get_list src (fun src ->
+            let i = get_u32 src in
+            (i, get_string src)) ))
+
 let write_request_sink k req =
   match req with
   | Create_store s ->
@@ -273,17 +296,13 @@ let write_request_sink k req =
         items
   | Scatter_put groups ->
       k.put_char '\018';
-      put_count k (List.length groups);
-      List.iter
-        (fun (s, items) ->
-          put_string k s;
-          put_count k (List.length items);
-          List.iter
-            (fun (i, v) ->
-              put_u32 k i;
-              put_string k v)
-            items)
-        groups
+      put_groups k groups
+  | Put_get { puts; store; idxs } ->
+      k.put_char '\019';
+      put_groups k puts;
+      put_string k store;
+      put_count k (List.length idxs);
+      List.iter (put_u32 k) idxs
   | Hello ns ->
       k.put_char '\011';
       put_namespace k ns
@@ -337,14 +356,11 @@ let read_request_src src =
           get_list src (fun src ->
               let i = get_u32 src in
               (i, get_string src)) )
-  | '\018' ->
-      Scatter_put
-        (get_list src (fun src ->
-             let s = get_string src in
-             ( s,
-               get_list src (fun src ->
-                   let i = get_u32 src in
-                   (i, get_string src)) )))
+  | '\018' -> Scatter_put (get_groups src)
+  | '\019' ->
+      let puts = get_groups src in
+      let store = get_string src in
+      Put_get { puts; store; idxs = get_list src get_u32 }
   | '\011' -> Hello (get_namespace src)
   | '\012' -> Ping
   | '\013' -> Stats

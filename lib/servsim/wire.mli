@@ -1,25 +1,35 @@
-(** Wire protocol (v3) between the client and a remote server process.
+(** Wire protocol (v7) between the client and a remote server process.
 
-    Binary, synchronous request/response over any pair of file
-    descriptors (Unix socketpair, Unix-domain socket, TCP socket).  All
-    integers are little-endian fixed width; strings are length-prefixed.
-    The protocol carries only what the honest-but-curious server
+    Binary request/response over any pair of file descriptors (Unix
+    socketpair, Unix-domain socket, TCP socket).  All integers are
+    little-endian fixed width; strings are length-prefixed.  The
+    protocol carries only what the honest-but-curious server
     legitimately sees: opaque ciphertext blocks and store bookkeeping.
 
-    v2 added batched block operations ([Multi_get]/[Multi_put]/[Values])
-    plus a one-byte version handshake and hard caps on every length
-    prefix.  v3 adds multi-tenant session establishment ([Hello] with a
-    namespace), liveness ([Ping]/[Pong]) and service introspection
-    ([Stats]/[Stats_reply]), and re-expresses the codec over pluggable
-    {!sink}/{!source} records so the same code drives blocking channels
-    and the daemon's incremental, non-blocking frame reassembly.  v4
-    added event-loop counters to [Stats_reply].  v5 adds the dynamic
-    FD-maintenance verbs of the paper's §V
-    ([Begin_dynamic]/[Insert_row]/[Delete_row]/[Revalidate] answered by
-    [Row_id]/[Fds_reply]) plus per-verb update counters in
-    [Stats_reply].  v6 adds [Scatter_put], the cross-store batched
-    write the recursive ORAM's deferred path-suffix evictions ride in —
-    one frame per logical access instead of one per tree.
+    Version history:
+    - v2 added batched block operations ([Multi_get]/[Multi_put]/
+      [Values]) plus a one-byte version handshake and hard caps on every
+      length prefix.
+    - v3 added multi-tenant session establishment ([Hello] with a
+      namespace), liveness ([Ping]/[Pong]) and service introspection
+      ([Stats]/[Stats_reply]), and re-expressed the codec over pluggable
+      {!sink}/{!source} records so the same code drives blocking
+      channels and the daemon's incremental, non-blocking frame
+      reassembly.
+    - v4 added event-loop counters to [Stats_reply].
+    - v5 added the dynamic FD-maintenance verbs of the paper's §V
+      ([Begin_dynamic]/[Insert_row]/[Delete_row]/[Revalidate] answered
+      by [Row_id]/[Fds_reply]) plus per-verb update counters in
+      [Stats_reply].
+    - v6 added [Scatter_put], the cross-store batched write the
+      recursive ORAM's deferred path-suffix evictions ride in — one
+      frame per logical access instead of one per tree.
+    - v7 adds [Put_get]: the client's deferred writes and its next
+      batched read in one frame.  Clients queue every block write in a
+      per-connection outbox and send it with the next read (or as one
+      [Scatter_put] before any other request), so a Path ORAM access
+      costs one round trip instead of two while the server applies —
+      and traces — exactly the same block events in the same order.
 
     The dynamic verbs are the one place the protocol carries plaintext
     row material: they model the trusted client (or enclave proxy)
@@ -49,6 +59,13 @@ type request =
           applied (and traced) in list order, items in order within each
           group.  All-or-nothing: every store must exist and every index
           must be in bounds before anything is mutated. *)
+  | Put_get of { puts : (string * (int * string) list) list; store : string; idxs : int list }
+      (** Apply [puts] exactly like [Scatter_put], then read [idxs] of
+          [store] exactly like [Multi_get]; answered with [Values].  The
+          writes are traced before the reads.  All-or-nothing: every
+          store must exist and every index, in the put groups and in
+          [idxs], must be in bounds before anything is mutated or
+          traced. *)
   | Digest  (** ask the server for its own trace digests *)
   | Total_bytes
   | Ping  (** liveness probe; answered with [Pong] *)
@@ -123,7 +140,8 @@ type dyn_fds = {
 type response =
   | Ok
   | Value of string
-  | Values of string list  (** answers [Multi_get], same order as the indices *)
+  | Values of string list
+      (** answers [Multi_get] and [Put_get], same order as the indices *)
   | Digests of { full : int64; shape : int64; count : int }
   | Bytes_total of int
   | Pong
@@ -133,7 +151,7 @@ type response =
   | Error of string
 
 val protocol_version : int
-(** Current protocol version (5).  Exchanged once per connection:
+(** Current protocol version (7).  Exchanged once per connection:
     the client sends its version byte, the server always answers with its
     own, and each side rejects a mismatch — a v2 peer fails the handshake
     cleanly instead of misparsing the stream mid-session. *)

@@ -255,6 +255,51 @@ let qcheck_dynamic_vs_fresh_discovery =
           reval
       end)
 
+(* {2 QCheck: every revalidate ≡ the plaintext validator}
+
+   Revalidation materialises the sets a key-pruned FD needs once its LHS
+   stops being a key; from then on those sets must be maintained by every
+   insert and delete like lattice nodes.  A stream interleaving
+   revalidates with updates checks each FD status against {!Validator}
+   on a shadow table at every revalidate — a set left stale after its
+   first materialisation shows up as a wrong status at a later one. *)
+let stream_gen =
+  QCheck.Gen.(
+    triple (int_bound 10000)
+      (list_size (3 -- 6) (triple (int_bound 3) (int_bound 3) (int_bound 3)))
+      (list_size (6 -- 24) (pair (int_bound 2) (triple (int_bound 3) (int_bound 3) (int_bound 3)))))
+
+let qcheck_revalidate_vs_validator =
+  QCheck.Test.make ~name:"revalidate = plaintext validator at every step of a stream" ~count:25
+    (QCheck.make stream_gen)
+    (fun (seed, init, ops) ->
+      let row (a, b, c) = [| v a; v b; v c |] in
+      let schema = Schema.make [| "A"; "B"; "C" |] in
+      let t = Table.make schema (Array.of_list (List.map row init)) in
+      let d = Dynamic.start ~seed ~capacity:64 t in
+      let shadow = ref t and ids = ref (List.init (List.length init) Fun.id) in
+      let ok = ref true in
+      List.iter
+        (fun (op, ((a, b, c) as cells)) ->
+          match op with
+          | 0 ->
+              let r = row cells in
+              ids := !ids @ [ Dynamic.insert d r ];
+              shadow := Table.append_row !shadow r
+          | 1 when !ids <> [] ->
+              let pos = ((a * 16) + (b * 4) + c) mod List.length !ids in
+              Dynamic.delete d ~id:(List.nth !ids pos);
+              shadow := Table.remove_row !shadow pos;
+              ids := List.filteri (fun i _ -> i <> pos) !ids
+          | _ ->
+              List.iter
+                (fun (fd, valid) ->
+                  if valid <> Fdbase.Validator.holds_fd !shadow fd then ok := false)
+                (Dynamic.revalidate d))
+        ops;
+      Dynamic.release d;
+      !ok)
+
 let test_reinsert_same_id_space () =
   (* Values equal to deleted ones must be re-countable. *)
   let schema = Schema.make [| "A" |] in
@@ -325,6 +370,7 @@ let suite =
     Alcotest.test_case "delete of dead id is trace-indistinguishable" `Quick
       test_delete_dead_vs_live_trace;
     QCheck_alcotest.to_alcotest qcheck_dynamic_vs_fresh_discovery;
+    QCheck_alcotest.to_alcotest qcheck_revalidate_vs_validator;
     Alcotest.test_case "reinsertion of deleted values" `Quick test_reinsert_same_id_space;
     Alcotest.test_case "capacity enforced" `Quick test_capacity_enforced;
     Alcotest.test_case "grow a small table" `Quick test_grow_small_table;

@@ -1,8 +1,11 @@
-(* Wire protocol v6: property tests for the codec (including the batch,
-   session and dynamic-update frames), malformed-prefix hardening, the
-   version handshake, and remote-vs-local equivalence of a PathORAM
-   workload — same trace shape, same server digests, and a round-trip
-   ledger that matches the actual number of wire frames. *)
+(* Wire protocol v7: property tests for the codec (including the batch,
+   session, dynamic-update and Put_get frames), malformed-prefix
+   hardening, the version handshake, remote-vs-local equivalence of a
+   PathORAM workload — same trace shape, same server digests, and a
+   round-trip ledger that matches the actual number of wire frames — and
+   the write outbox: all-or-nothing Put_get, ledger = frames under
+   random block-store traffic, durability across a daemon restart and
+   data-independent framing. *)
 
 open Relation
 
@@ -63,6 +66,14 @@ let request_gen =
              (pair
                 (string_size (0 -- 20))
                 (list_size (0 -- 10) (pair (int_bound 100000) (string_size (0 -- 50))))));
+        map3
+          (fun puts store idxs -> Servsim.Wire.Put_get { puts; store; idxs })
+          (list_size (0 -- 4)
+             (pair
+                (string_size (0 -- 20))
+                (list_size (0 -- 10) (pair (int_bound 100000) (string_size (0 -- 50))))))
+          (string_size (0 -- 20))
+          (list_size (0 -- 40) (int_bound 100000));
         map (fun ns -> Servsim.Wire.Hello ns) (string_size (0 -- 40));
         return Servsim.Wire.Ping;
         return Servsim.Wire.Stats;
@@ -403,18 +414,280 @@ let test_frames_match_ledger () =
           cipher (Crypto.Rng.int rng)
       in
       let f1 = Servsim.Remote.frames conn and t1 = trips () in
-      (* Setup = Create_store + Ensure + one Multi_put of every slot. *)
-      Alcotest.(check int) "setup wire frames" 3 (f1 - f0);
-      Alcotest.(check int) "setup ledger matches frames" (f1 - f0) (t1 - t0);
+      (* Setup = Create_store + Ensure on the wire; the initial write of
+         every slot opened (and paid for) a frame that waits in the
+         outbox. *)
+      Alcotest.(check int) "setup wire frames" 2 (f1 - f0);
+      Alcotest.(check int) "setup ledger" 3 (t1 - t0);
+      Alcotest.(check bool) "setup write pending" true (Servsim.Remote.pending conn);
       Oram.Path_oram.write o ~key:(Codec.encode_int 1) (Codec.encode_int 42);
       let f2 = Servsim.Remote.frames conn and t2 = trips () in
-      (* One logical access = one Multi_get + one Multi_put, nothing else. *)
-      Alcotest.(check int) "access is exactly 2 wire frames" 2 (f2 - f1);
+      (* One logical access = one Put_get frame: the fetch carries the
+         pending write-back, the evict waits in the outbox. *)
+      Alcotest.(check int) "access is exactly 1 wire frame" 1 (f2 - f1);
       Alcotest.(check int) "access ledger matches frames" (f2 - f1) (t2 - t1);
       ignore (Oram.Path_oram.read o ~key:(Codec.encode_int 1));
       let f3 = Servsim.Remote.frames conn and t3 = trips () in
-      Alcotest.(check int) "read access is exactly 2 wire frames" 2 (f3 - f2);
-      Alcotest.(check int) "read ledger matches frames" (f3 - f2) (t3 - t2))
+      Alcotest.(check int) "read access is exactly 1 wire frame" 1 (f3 - f2);
+      Alcotest.(check int) "read ledger matches frames" (f3 - f2) (t3 - t2);
+      Servsim.Server.flush server;
+      let f4 = Servsim.Remote.frames conn and t4 = trips () in
+      (* The flush sends the frame the last evict already paid for. *)
+      Alcotest.(check int) "flush is one wire frame" 1 (f4 - f3);
+      Alcotest.(check int) "flush is free in the ledger" 0 (t4 - t3);
+      Alcotest.(check int) "ledger = frames with the outbox empty" (f4 - f0) (t4 - t0))
+
+(* {2 Put_get and the write outbox (v7)} *)
+
+(* A Put_get whose put part or get part holds a bad index (or names a
+   missing store) is rejected and leaves the session exactly as it was:
+   no store mutated, no trace event recorded. *)
+let test_put_get_all_or_nothing () =
+  let module W = Servsim.Wire in
+  let module H = Servsim.Handler in
+  let st = H.create_state () in
+  let h = H.handle st in
+  List.iter
+    (fun req -> ignore (h req))
+    [ W.Create_store "a"; W.Ensure ("a", 4); W.Create_store "b"; W.Ensure ("b", 2);
+      W.Multi_put ("a", [ (0, "x"); (1, "yy") ]) ];
+  let snapshot () = (H.export_stores st, Servsim.Trace.count (H.trace st), H.total_bytes st) in
+  let before = snapshot () in
+  let rejected req =
+    match h req with W.Error _ -> true | _ -> false | exception W.Protocol_error _ -> true
+  in
+  Alcotest.(check bool) "bad index in the put part" true
+    (rejected
+       (W.Put_get { puts = [ ("a", [ (3, "p") ]); ("b", [ (2, "q") ]) ]; store = "a"; idxs = [ 0 ] }));
+  Alcotest.(check bool) "bad index in the get part" true
+    (rejected (W.Put_get { puts = [ ("a", [ (3, "p") ]) ]; store = "b"; idxs = [ 0; 5 ] }));
+  Alcotest.(check bool) "missing store in the put part" true
+    (rejected
+       (W.Put_get { puts = [ ("a", [ (3, "p") ]); ("zz", [ (0, "q") ]) ]; store = "a"; idxs = [ 0 ] }));
+  Alcotest.(check bool) "missing store in the get part" true
+    (rejected (W.Put_get { puts = [ ("a", [ (3, "p") ]) ]; store = "zz"; idxs = [ 0 ] }));
+  Alcotest.(check bool) "nothing mutated, nothing traced" true (before = snapshot ());
+  (* A valid one applies the puts, then serves the gets (which see them),
+     traced exactly like the Scatter_put + Multi_get pair it replaces. *)
+  let puts = [ ("a", [ (3, "p") ]); ("b", [ (1, "q") ]) ] in
+  (match h (W.Put_get { puts; store = "a"; idxs = [ 3; 0 ] }) with
+  | W.Values vs -> Alcotest.(check (list string)) "gets see the puts" [ "p"; "x" ] vs
+  | _ -> Alcotest.fail "Put_get");
+  let st2 = H.create_state () in
+  List.iter
+    (fun req -> ignore (H.handle st2 req))
+    [ W.Create_store "a"; W.Ensure ("a", 4); W.Create_store "b"; W.Ensure ("b", 2);
+      W.Multi_put ("a", [ (0, "x"); (1, "yy") ]);
+      W.Scatter_put puts; W.Multi_get ("a", [ 3; 0 ]) ];
+  Alcotest.(check int64) "trace = Scatter_put then Multi_get"
+    (Servsim.Trace.full_digest (H.trace st2)) (Servsim.Trace.full_digest (H.trace st));
+  (* Over the wire the rejection is a Protocol_error on the carrying
+     read, and the server's view is untouched. *)
+  with_remote (fun conn ->
+      ignore (Servsim.Remote.call conn (W.Create_store "a"));
+      ignore (Servsim.Remote.call conn (W.Ensure ("a", 2)));
+      let view () = Servsim.Remote.server_digests conn in
+      let v0 = view () in
+      Servsim.Remote.queue_puts conn [ ("a", [ (7, "p") ]) ];
+      Alcotest.(check bool) "remote put-part rejection" true
+        (raises_protocol_error (fun () -> Servsim.Remote.multi_get conn ~store:"a" [ 0 ]));
+      Servsim.Remote.queue_puts conn [ ("a", [ (1, "p") ]) ];
+      Alcotest.(check bool) "remote get-part rejection" true
+        (raises_protocol_error (fun () -> Servsim.Remote.multi_get conn ~store:"a" [ 0; 9 ]));
+      Alcotest.(check bool) "outbox emptied by the carrying frame" false
+        (Servsim.Remote.pending conn);
+      Alcotest.(check bool) "server view untouched" true (v0 = view ()))
+
+(* Random block-store traffic, replayed op for op against an in-process
+   server and a forked one.  After every op the two ledgers agree, the
+   outbox state agrees, and whenever the outbox is empty the ledger
+   equals the wire frames; at the end the server's own digests equal the
+   client's mirror. *)
+type store_op =
+  | Read of int * int
+  | Read_many of int * int list
+  | Write of int * int * string
+  | Write_many of int * (int * string) list
+  | Write_scatter of (int * (int * string) list) list
+  | Ensure of int * int
+  | Create
+  | Drop of int
+
+let store_op_gen =
+  QCheck.Gen.(
+    let item = pair (int_bound 1000) (string_size (0 -- 24)) in
+    frequency
+      [
+        (3, map2 (fun s i -> Read (s, i)) (int_bound 100) (int_bound 1000));
+        (3, map2 (fun s is -> Read_many (s, is)) (int_bound 100)
+              (list_size (1 -- 6) (int_bound 1000)));
+        (3, map3 (fun s i v -> Write (s, i, v)) (int_bound 100) (int_bound 1000)
+              (string_size (0 -- 24)));
+        (3, map2 (fun s items -> Write_many (s, items)) (int_bound 100) (list_size (0 -- 5) item));
+        (2, map (fun gs -> Write_scatter gs)
+              (list_size (0 -- 3) (pair (int_bound 100) (list_size (0 -- 4) item))));
+        (2, map2 (fun s n -> Ensure (s, n)) (int_bound 100) (int_bound 6));
+        (1, return Create);
+        (1, map (fun s -> Drop s) (int_bound 100));
+      ])
+
+(* Apply one op to [server]; [live] holds its stores, oldest first.
+   Returns the values read, so the two runs can be compared. *)
+let apply_store_op server live counter op =
+  let module B = Servsim.Block_store in
+  let pick k = List.nth !live (k mod List.length !live) in
+  let slot st i = i mod B.length st in
+  let sized = List.filter (fun st -> B.length st > 0) in
+  let create () =
+    incr counter;
+    live := !live @ [ Servsim.Server.create_store server (Printf.sprintf "s%d" !counter) ];
+    []
+  in
+  if !live = [] then create ()
+  else
+    match op with
+    | Create -> create ()
+    | Drop k ->
+        let st = pick k in
+        Servsim.Server.drop_store server (B.name st);
+        live := List.filter (fun x -> x != st) !live;
+        []
+    | Ensure (k, n) ->
+        let st = pick k in
+        B.ensure st (B.length st + 1 + n);
+        []
+    | _ -> (
+        match sized !live with
+        | [] ->
+            B.ensure (pick 0) 4;
+            []
+        | stores -> (
+            let pick k = List.nth stores (k mod List.length stores) in
+            match op with
+            | Read (k, i) ->
+                let st = pick k in
+                [ B.read st (slot st i) ]
+            | Read_many (k, is) ->
+                let st = pick k in
+                B.read_many st (List.map (slot st) is)
+            | Write (k, i, v) ->
+                let st = pick k in
+                B.write st (slot st i) v;
+                []
+            | Write_many (k, items) ->
+                let st = pick k in
+                B.write_many st (List.map (fun (i, v) -> (slot st i, v)) items);
+                []
+            | Write_scatter groups ->
+                B.write_scatter
+                  (List.map
+                     (fun (k, items) ->
+                       let st = pick k in
+                       (st, List.map (fun (i, v) -> (slot st i, v)) items))
+                     groups);
+                []
+            | Create | Drop _ | Ensure _ -> []))
+
+let qcheck_outbox_ledger =
+  QCheck.Test.make ~name:"outbox: local ledger = remote ledger = frames when empty" ~count:30
+    (QCheck.make QCheck.Gen.(list_size (1 -- 40) store_op_gen))
+    (fun ops ->
+      with_remote (fun conn ->
+          let local = Servsim.Server.create () and remote = Servsim.Server.create ~remote:conn () in
+          let trips server =
+            (Servsim.Cost.snapshot (Servsim.Server.cost server)).Servsim.Cost.round_trips
+          in
+          let live_l = ref [] and live_r = ref [] and cl = ref 0 and cr = ref 0 in
+          let consistent () =
+            trips local = trips remote
+            && Servsim.Server.pending local = Servsim.Server.pending remote
+            && Servsim.Server.pending remote = Servsim.Remote.pending conn
+            && (Servsim.Server.pending remote || trips remote = Servsim.Remote.frames conn)
+          in
+          let ok =
+            List.for_all
+              (fun op ->
+                let vl = apply_store_op local live_l cl op in
+                let vr = apply_store_op remote live_r cr op in
+                vl = vr && consistent ())
+              ops
+          in
+          Servsim.Server.flush local;
+          Servsim.Server.flush remote;
+          let tr = Servsim.Server.trace remote in
+          ok && consistent ()
+          && (not (Servsim.Server.pending remote))
+          && Int64.equal (Servsim.Trace.full_digest tr)
+               (Servsim.Trace.full_digest (Servsim.Server.trace local))
+          && Servsim.Remote.digests conn ~full:(Servsim.Trace.full_digest tr)
+               ~shape:(Servsim.Trace.shape_digest tr) ~count:(Servsim.Trace.count tr)))
+
+(* The daemon journals Put_get like any counted request: a durable
+   daemon restarted after Put_get traffic rehydrates the tenant with the
+   same digests, ledger and blocks. *)
+let test_put_get_survives_restart () =
+  let workload conn =
+    let server = Servsim.Server.create ~remote:conn () in
+    (* The last write-back stays queued: [close] must send it. *)
+    ignore (oram_workload server);
+    let tr = Servsim.Server.trace server in
+    (Servsim.Trace.full_digest tr, Servsim.Trace.shape_digest tr, Servsim.Trace.count tr)
+  in
+  let probe conn =
+    let digests = Servsim.Remote.server_digests conn in
+    let blocks = Servsim.Remote.multi_get conn ~store:"o" [ 0; 5; 17; 40 ] in
+    (digests, blocks, (Servsim.Remote.stats conn).Servsim.Wire.frames)
+  in
+  let expected =
+    Suite_store.with_daemon (fun path ->
+        let mirror = Suite_store.with_client ~namespace:"pg" path workload in
+        (mirror, Suite_store.with_client ~namespace:"pg" path probe))
+  in
+  Suite_store.with_tmp_dir "sfdd-putget" (fun data_dir ->
+      let mirror, (digests, _, _) = expected in
+      Alcotest.(check bool) "daemon digests = client mirror" true (mirror = digests);
+      let mirror =
+        Suite_store.with_daemon ~data_dir (fun path ->
+            Suite_store.with_client ~namespace:"pg" path workload)
+      in
+      (* The first daemon is fully stopped; a second one rehydrates the
+         tenant from its journal. *)
+      let probed =
+        Suite_store.with_daemon ~data_dir (fun path ->
+            Suite_store.with_client ~namespace:"pg" path probe)
+      in
+      Alcotest.(check bool) "digests, blocks and ledger survive a restart" true
+        ((mirror, probed) = expected))
+
+(* Framing is a function of the data-independent operation schedule: two
+   Or-ORAM discoveries over same-shape tables with different values
+   (an injective relabelling per column, so Size(DB) and FD(DB) agree)
+   send the same number of frames and the same bytes each way. *)
+let test_framing_data_independent () =
+  let a = Datasets.Rnd.generate_with_domain ~seed:4 ~rows:20 ~cols:4 ~domain:3 () in
+  let b =
+    Table.make (Table.schema a)
+      (Array.init (Table.rows a) (fun r ->
+           Array.map
+             (function Value.Int x -> Value.Int ((x * 7919) + 13) | v -> v)
+             (Table.row a r)))
+  in
+  let run table =
+    with_remote (fun conn ->
+        let r =
+          Core.Protocol.discover ~seed:7 ~max_lhs:2 ~remote:conn ~oram_cache_levels:2
+            Core.Protocol.Or_oram table
+        in
+        let st = Servsim.Remote.stats conn in
+        (r.Core.Protocol.fds, Servsim.Remote.frames conn, st.Servsim.Wire.bytes_in,
+         st.Servsim.Wire.bytes_out))
+  in
+  let fds_a, frames_a, in_a, out_a = run a and fds_b, frames_b, in_b, out_b = run b in
+  Alcotest.(check bool) "same FDs (same leakage)" true (fds_a = fds_b);
+  Alcotest.(check bool) "the runs moved real data" true (frames_a > 0 && in_a > 0);
+  Alcotest.(check int) "same wire frames" frames_a frames_b;
+  Alcotest.(check int) "same bytes in" in_a in_b;
+  Alcotest.(check int) "same bytes out" out_a out_b
 
 (* {2 Cost underflow counter} *)
 
@@ -509,6 +782,10 @@ let suite =
     Alcotest.test_case "multi get/put end-to-end" `Quick test_multi_roundtrip_server;
     Alcotest.test_case "remote-local equivalence" `Quick test_remote_local_equivalence;
     Alcotest.test_case "frames match ledger" `Quick test_frames_match_ledger;
+    Alcotest.test_case "Put_get all-or-nothing" `Quick test_put_get_all_or_nothing;
+    QCheck_alcotest.to_alcotest qcheck_outbox_ledger;
+    Alcotest.test_case "Put_get survives a daemon restart" `Quick test_put_get_survives_restart;
+    Alcotest.test_case "framing is data-independent" `Quick test_framing_data_independent;
     Alcotest.test_case "cost underflow counter" `Quick test_cost_underflow_counter;
     Alcotest.test_case "trace digests pinned" `Quick test_trace_digest_pinned;
     QCheck_alcotest.to_alcotest qcheck_trace_record_name_equiv;
