@@ -11,8 +11,9 @@ open Relation
    time = computation + round_trips * RTT + bytes / bandwidth (see
    EXPERIMENTS.md).  The modeled column is what reproduces the paper's
    ordering: Sort performs ~(n/2) log^2 n sequential exchanges, each
-   two wire frames (one batched fetch, one batched write-back), whereas
-   the ORAM methods make only ~3n accesses of two frames each. *)
+   one wire frame (a batched fetch carrying the previous write-back),
+   whereas the ORAM methods need only 3n (|X| = 1: cell, O^KL, O^IL)
+   to 4n (|X| >= 2) frames. *)
 
 let measure method_ table x =
   let _, r = Protocol.partition_cardinality method_ table x in

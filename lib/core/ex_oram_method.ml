@@ -75,18 +75,21 @@ let alloc_label h =
       h.next_label <- l + 1;
       l
 
-(* Algorithm 4 inner step: one O^KLF read, one O^IKL write, one O^KLF
-   write — unconditional, as in the paper's branch-free formulation. *)
+(* Algorithm 4 inner step: one O^KLF read-modify-write — a single Path
+   ORAM access that returns key_X's old (label_X, fre_X) and rewrites it
+   with fre_X + 1, allocating a label if key_X is new — then one O^IKL
+   write.  Both accesses are unconditional, as in the paper's branch-free
+   formulation. *)
 let process_key h ~row key =
-  let prev = Oram.Path_oram.read h.klf ~key in
-  let fresh = prev = None in
-  let label, fre =
-    match prev with Some p -> klf_decode p | None -> (alloc_label h, 0)
+  let label = ref 0 in
+  let prev =
+    Oram.Path_oram.access h.klf ~key (fun prev ->
+        let l, fre = match prev with Some p -> klf_decode p | None -> (alloc_label h, 0) in
+        label := l;
+        Some (klf_payload ~label:l ~fre:(fre + 1)))
   in
-  let fre = fre + 1 in
-  Oram.Path_oram.write h.ikl ~key:(Codec.encode_int row) (ikl_payload ~key ~label);
-  Oram.Path_oram.write h.klf ~key (klf_payload ~label ~fre);
-  if fresh then h.card <- h.card + 1;
+  Oram.Path_oram.write h.ikl ~key:(Codec.encode_int row) (ikl_payload ~key ~label:!label);
+  if prev = None then h.card <- h.card + 1;
   h.live <- h.live + 1
 
 let insert_value h ~row v =
@@ -137,36 +140,31 @@ let combine session ?capacity x h1 h2 =
   done;
   h
 
-(* Algorithm 5: two reads then two writes; the fre = 1 / fre > 1 branch
-   only changes the plaintext written, never the access pattern. *)
+(* Algorithm 5 as two accesses: one O^IKL remove, which returns the row's
+   (key_X, label_X), then one O^KLF read-modify-write that decrements
+   fre_X or removes key_X at fre_X = 1.  An absent ID pays a dummy O^KLF
+   access instead, so every delete is one O^IKL path then one O^KLF path;
+   the fre_X branch only changes the plaintext written. *)
 let delete h ~row =
-  let id_key = Codec.encode_int row in
-  match Oram.Path_oram.read h.ikl ~key:id_key with
-  | None ->
-      (* Record absent: keep the physical pattern identical anyway. *)
-      Oram.Path_oram.dummy_access h.klf;
-      Oram.Path_oram.dummy_access h.klf;
-      Oram.Path_oram.dummy_access h.ikl
-  | Some p ->
+  match Oram.Path_oram.access h.ikl ~key:(Codec.encode_int row) (fun _ -> None) with
+  | None -> Oram.Path_oram.dummy_access h.klf
+  | Some p -> (
       let key, _label = ikl_decode ~key_len:h.key_len p in
-      let label, fre =
-        match Oram.Path_oram.read h.klf ~key with
-        | Some q -> klf_decode q
-        | None -> invalid_arg "Ex_oram_method.delete: KLF entry missing (corrupt state)"
+      let decrement = function
+        | Some q ->
+            let label, fre = klf_decode q in
+            if fre > 1 then Some (klf_payload ~label ~fre:(fre - 1)) else None
+        | None -> None
       in
-      ignore
-        (Oram.Path_oram.access h.klf ~key (fun prev ->
-             match prev with
-             | None -> None
-             | Some q ->
-                 let label, fre = klf_decode q in
-                 if fre > 1 then Some (klf_payload ~label ~fre:(fre - 1)) else None));
-      ignore (Oram.Path_oram.access h.ikl ~key:id_key (fun _ -> None));
-      if fre = 1 then begin
-        h.card <- h.card - 1;
-        h.free_labels <- label :: h.free_labels
-      end;
-      h.live <- h.live - 1
+      match Oram.Path_oram.access h.klf ~key decrement with
+      | None -> invalid_arg "Ex_oram_method.delete: KLF entry missing (corrupt state)"
+      | Some q ->
+          let label, fre = klf_decode q in
+          if fre = 1 then begin
+            h.card <- h.card - 1;
+            h.free_labels <- label :: h.free_labels
+          end;
+          h.live <- h.live - 1)
 
 let release h =
   Oram.Path_oram.destroy h.klf;

@@ -47,8 +47,9 @@ val insert_combined : handle -> gen1:handle -> gen2:handle -> row:int -> unit
     even after the live count grows past the initial n. *)
 
 val delete : handle -> row:int -> unit
-(** Algorithm 5: remove record [row]'s contribution to (π_X, |π_X|).
-    A no-op (but physically identical) if the record is absent. *)
+(** Algorithm 5: remove record [row]'s contribution to (π_X, |π_X|) with
+    two Path ORAM accesses, one O^IKL then one O^KLF.  A no-op (but
+    physically identical) if the record is absent. *)
 
 val label_of_row : handle -> row:int -> int option
 (** label_X of a record (one O^IKL access); [None] if absent/deleted. *)

@@ -30,17 +30,15 @@ let make_orams session attrs ~key_len =
   { attrs; kl; il; card = 0; session }
 
 (* The shared inner step of Algorithms 1 and 2 (lines 5-10 / 7-12): one
-   O^KL read, one O^IL write, one O^KL write — unconditionally, so the
-   server's view does not depend on whether key_X was seen before. *)
+   O^KL read-modify-write — a single Path ORAM access that returns key_X's
+   old label and rewrites key_X with it, or with the next fresh label — then
+   one O^IL write.  Both accesses happen unconditionally, so the server's
+   view does not depend on whether key_X was seen before. *)
 let process_key h ~row key =
-  let prev = Oram.Path_oram.read h.kl ~key in
-  let fresh = prev = None in
-  let label =
-    match prev with Some p -> Compression.label_of_payload p | None -> h.card
-  in
-  Oram.Path_oram.write h.il ~key:(Codec.encode_int row) (Compression.payload_of_label label);
-  Oram.Path_oram.write h.kl ~key (Compression.payload_of_label label);
-  if fresh then h.card <- h.card + 1
+  let fresh = Compression.payload_of_label h.card in
+  let prev = Oram.Path_oram.access h.kl ~key (fun p -> Some (Option.value p ~default:fresh)) in
+  Oram.Path_oram.write h.il ~key:(Codec.encode_int row) (Option.value prev ~default:fresh);
+  if prev = None then h.card <- h.card + 1
 
 let insert_single h db ~row =
   let v = Enc_db.read_cell db ~row ~col:(Attrset.min_elt h.attrs) in

@@ -7,11 +7,11 @@
     - the ID-Label ORAM O^IL_X mapping r[ID] → label_X (it preserves π_X
       and feeds the computation of supersets).
 
-    Every record is processed with exactly one O^KL read, one O^IL write
-    and one O^KL write (plus, for |X| ≥ 2, one read in each generator's
-    O^IL), so the server-visible access sequence is a function of n
-    alone.  Supports appending new records (insertion); deletion needs
-    the extended method ({!Ex_oram_method}). *)
+    Every record is processed with exactly one O^KL read-modify-write
+    (one Path ORAM access) and one O^IL write (plus, for |X| ≥ 2, one
+    read in each generator's O^IL), so the server-visible access
+    sequence is a function of n alone.  Supports appending new records
+    (insertion); deletion needs the extended method ({!Ex_oram_method}). *)
 
 open Relation
 

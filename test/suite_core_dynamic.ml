@@ -192,6 +192,49 @@ let test_delete_dead_vs_live_trace () =
   Alcotest.(check int) "re-deleted id: same access count" live_n dead_n;
   Alcotest.(check int64) "re-deleted id: same trace shape" live_s dead_s
 
+(* {2 Per-update access schedule, pinned on the cost ledger}
+
+   In steady state each Path ORAM access is one round trip (its read
+   rides in the frame the previous write-back opened).  An insert is one
+   O^KLF read-modify-write plus one O^IKL write — 2 accesses for
+   |X| = 1, and 4 for |X| = 2, which first reads each generator's
+   O^IKL.  A delete is one O^IKL remove plus one O^KLF decrement-or-
+   remove, or a dummy O^KLF access when the ID is absent: 2 either way. *)
+let test_ex_oram_access_schedule () =
+  let n = 12 in
+  let session = Session.create ~seed:9 ~n ~m:2 () in
+  let trips () = (Servsim.Cost.snapshot (Session.cost session)).Servsim.Cost.round_trips in
+  let delta f =
+    let before = trips () in
+    f ();
+    trips () - before
+  in
+  let a = Ex_oram_method.create session (Attrset.singleton 0) ~capacity:n in
+  let b = Ex_oram_method.create session (Attrset.singleton 1) ~capacity:n in
+  let ab = Ex_oram_method.create session (Attrset.of_list [ 0; 1 ]) ~capacity:n in
+  for id = 0 to n - 1 do
+    (* Values repeat, so both sides of the read-modify-write run. *)
+    Alcotest.(check int) "insert |X|=1: 2 accesses" 2
+      (delta (fun () -> Ex_oram_method.insert_value a ~row:id (v (id mod 3))));
+    Alcotest.(check int) "insert |X|=1: 2 accesses" 2
+      (delta (fun () -> Ex_oram_method.insert_value b ~row:id (v (id mod 2))));
+    Alcotest.(check int) "insert |X|=2: 4 accesses" 4
+      (delta (fun () -> Ex_oram_method.insert_combined ab ~gen1:a ~gen2:b ~row:id))
+  done;
+  Alcotest.(check int) "|π_AB|" 6 (Ex_oram_method.cardinality ab);
+  Alcotest.(check int) "delete live id: 2 accesses" 2
+    (delta (fun () -> Ex_oram_method.delete ab ~row:0));
+  Alcotest.(check int) "delete live |X|=1: 2 accesses" 2
+    (delta (fun () -> Ex_oram_method.delete a ~row:0));
+  Alcotest.(check int) "delete re-deleted id: 2 accesses" 2
+    (delta (fun () -> Ex_oram_method.delete ab ~row:0));
+  Alcotest.(check int) "delete never-inserted id: 2 accesses" 2
+    (delta (fun () -> Ex_oram_method.delete ab ~row:77));
+  (* Rows 0 and 6 shared key (0,0); deleting row 0 only lowers fre. *)
+  Alcotest.(check int) "|π_AB| after delete" 6 (Ex_oram_method.cardinality ab);
+  Alcotest.(check int) "live after delete" (n - 1) (Ex_oram_method.live_records ab);
+  List.iter Ex_oram_method.release [ a; b; ab ]
+
 (* {2 QCheck: random update sequences ≡ fresh Ex-ORAM discovery}
 
    Any insert/delete sequence, applied through the maintained lattice,
@@ -365,6 +408,8 @@ let suite =
     Alcotest.test_case "delete restores FD" `Quick test_delete_restores_fd;
     Alcotest.test_case "delete updates cardinality" `Quick test_delete_updates_cardinality;
     Alcotest.test_case "delete of absent id is a no-op" `Quick test_delete_absent_id_noop;
+    Alcotest.test_case "ex-oram: 2/4 accesses per insert, 2 per delete" `Quick
+      test_ex_oram_access_schedule;
     Alcotest.test_case "random updates vs shadow table" `Slow test_random_update_sequence_vs_shadow;
     Alcotest.test_case "label reuse after churn" `Quick test_label_reuse_after_churn;
     Alcotest.test_case "delete of dead id is trace-indistinguishable" `Quick

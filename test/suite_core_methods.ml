@@ -174,6 +174,102 @@ let test_or_oram_labels_preserve_partition () =
     done
   done
 
+(* {2 Per-row access schedule, pinned on the cost ledger}
+
+   In steady state a Path ORAM access costs one round trip: its path
+   read rides in the frame its predecessor's write-back opened, and its
+   own write-back opens the next one.  A cell read opens no frame.  So
+   an Or-ORAM single costs its set-up plus 3 frames a row (cell, one
+   O^KL read-modify-write, one O^IL write) and a combine its set-up plus
+   4 (two generator O^IL reads, O^KL, O^IL).  The set-up is measured by
+   building the handle's two ORAMs on their own. *)
+let round_trips session = (Servsim.Cost.snapshot (Session.cost session)).Servsim.Cost.round_trips
+
+let ledger_delta session f =
+  let before = round_trips session in
+  let r = f () in
+  (r, round_trips session - before)
+
+let orams_setup_trips session ~key_len =
+  let setup key_len =
+    Oram.Path_oram.setup
+      ~name:(Session.fresh_name session "probe")
+      ~cache_levels:session.Session.oram_cache_levels
+      { capacity = session.Session.n; key_len; payload_len = 8 }
+      session.Session.server session.Session.cipher (Session.rand_int session)
+  in
+  let (kl, il), trips = ledger_delta session (fun () -> (setup key_len, setup 8)) in
+  Oram.Path_oram.destroy kl;
+  Oram.Path_oram.destroy il;
+  trips
+
+let test_or_oram_row_schedule () =
+  let n = 40 in
+  let t = random_table ~seed:21 ~n ~m:2 ~domain:4 () in
+  List.iter
+    (fun cache ->
+      let session = Session.create ~seed:3 ~oram_cache_levels:cache ~n ~m:2 () in
+      let db = Enc_db.outsource session t in
+      let label = Printf.sprintf "cache %d" cache in
+      let single_setup = orams_setup_trips session ~key_len:Compression.single_key_len in
+      let combine_setup = orams_setup_trips session ~key_len:Compression.multi_key_len in
+      let h0, t0 = ledger_delta session (fun () -> Or_oram_method.single db 0) in
+      let h1, t1 = ledger_delta session (fun () -> Or_oram_method.single db 1) in
+      let x = Attrset.of_list [ 0; 1 ] in
+      let h01, t01 = ledger_delta session (fun () -> Or_oram_method.combine session x h0 h1) in
+      Alcotest.(check int) (label ^ ": single = set-up + 3n") (single_setup + (3 * n)) t0;
+      Alcotest.(check int) (label ^ ": second single = set-up + 3n") (single_setup + (3 * n)) t1;
+      Alcotest.(check int) (label ^ ": combine = set-up + 4n") (combine_setup + (4 * n)) t01;
+      List.iter Or_oram_method.release [ h0; h1; h01 ])
+    [ 0; 2 ]
+
+(* {2 QCheck: the read-modify-write branch on repeating keys}
+
+   Low-cardinality tables make most rows hit a key already in O^KL /
+   O^KLF, so the "seen before" side of the fused access runs on almost
+   every row.  Cardinalities of both methods and the Or-ORAM label
+   partitions must equal the plaintext ones. *)
+let same_partition t x labels =
+  let n = Table.rows t in
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let same = Table.project_value t ~row:i x = Table.project_value t ~row:j x in
+      if same <> (labels.(i) = labels.(j)) then ok := false
+    done
+  done;
+  !ok
+
+let qcheck_rmw_matches_partition =
+  QCheck.Test.make ~name:"or/ex-oram read-modify-write = plaintext partitions on repeating keys"
+    ~count:15
+    QCheck.(triple (int_bound 10000) (int_range 1 40) (int_range 1 3))
+    (fun (seed, n, domain) ->
+      let t = random_table ~seed ~n ~m:2 ~domain () in
+      let session = Session.create ~seed ~n ~m:2 () in
+      let db = Enc_db.outsource session t in
+      let x0 = Attrset.singleton 0 and x1 = Attrset.singleton 1 in
+      let x01 = Attrset.of_list [ 0; 1 ] in
+      let card x = Fdbase.Partition.cardinality (Fdbase.Partition.of_table t x) in
+      let o0 = Or_oram_method.single db 0 and o1 = Or_oram_method.single db 1 in
+      let o01 = Or_oram_method.combine session x01 o0 o1 in
+      let e0 = Ex_oram_method.single db 0 and e1 = Ex_oram_method.single db 1 in
+      let e01 = Ex_oram_method.combine session x01 e0 e1 in
+      let labels h = Array.init n (fun row -> Or_oram_method.label_of_row h ~row) in
+      let ok =
+        Or_oram_method.cardinality o0 = card x0
+        && Or_oram_method.cardinality o1 = card x1
+        && Or_oram_method.cardinality o01 = card x01
+        && Ex_oram_method.cardinality e0 = card x0
+        && Ex_oram_method.cardinality e1 = card x1
+        && Ex_oram_method.cardinality e01 = card x01
+        && same_partition t x0 (labels o0)
+        && same_partition t x01 (labels o01)
+      in
+      List.iter Or_oram_method.release [ o0; o1; o01 ];
+      List.iter Ex_oram_method.release [ e0; e1; e01 ];
+      ok)
+
 let test_string_values_supported () =
   let t = Datasets.Examples.employee () in
   let x = Schema.attrset_of_names (Table.schema t) [ "Position" ] in
@@ -232,6 +328,8 @@ let suite =
     Alcotest.test_case "bitonic = odd-even-merge results" `Quick test_sort_method_networks_agree;
     Alcotest.test_case "sort labels preserve partition" `Quick test_sort_labels_preserve_partition;
     Alcotest.test_case "or-oram labels preserve partition" `Quick test_or_oram_labels_preserve_partition;
+    Alcotest.test_case "or-oram rows: 3 frames single, 4 combine" `Quick test_or_oram_row_schedule;
+    QCheck_alcotest.to_alcotest qcheck_rmw_matches_partition;
     Alcotest.test_case "string values supported" `Quick test_string_values_supported;
     Alcotest.test_case "parallel sort method" `Quick test_parallel_sort_method;
     Alcotest.test_case "lattice releases storage" `Quick test_lattice_releases_storage;
