@@ -33,6 +33,19 @@ let pretty_bytes b =
   else if b >= 10 * 1024 then Printf.sprintf "%.1f KB" (float_of_int b /. 1024.0)
   else Printf.sprintf "%d B" b
 
+(* Median and interquartile range of a non-empty sample (linear
+   interpolation between order statistics). *)
+let median_iqr xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let q p =
+    let x = p *. float_of_int (Array.length a - 1) in
+    let i = int_of_float x in
+    let j = min (i + 1) (Array.length a - 1) in
+    a.(i) +. ((x -. float_of_int i) *. (a.(j) -. a.(i)))
+  in
+  (q 0.5, q 0.75 -. q 0.25)
+
 let pretty_time s =
   if s >= 1.0 then Printf.sprintf "%.2f s" s
   else if s >= 1e-3 then Printf.sprintf "%.2f ms" (s *. 1000.0)

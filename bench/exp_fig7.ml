@@ -40,16 +40,31 @@ let measure n =
   (avg !t_ins1, avg !t_del1, avg !t_ins2, avg !t_del2)
 
 let run (opts : Bench_util.opts) =
-  let ks = if opts.Bench_util.full then [ 4; 6; 8; 10; 12 ] else [ 4; 6; 8; 9 ] in
+  let ks, reps =
+    if opts.Bench_util.smoke then ([ 4; 6 ], 3)
+    else if opts.Bench_util.full then ([ 4; 6; 8; 10; 12 ], 7)
+    else ([ 4; 6; 8; 9 ], 5)
+  in
   Bench_util.header "Fig. 7: insertion and deletion efficiency (Ex-ORAM, avg per op)";
-  Printf.printf "%8s | %12s %12s | %12s %12s\n" "" "|X| = 1" "" "|X| = 2" "";
-  Printf.printf "%8s | %12s %12s | %12s %12s\n" "n" "insert" "delete" "insert" "delete";
+  (* Untimed warm-up, so the first size does not pay for cold caches and
+     heap growth.  Every timed pass repeats the same seeded workload. *)
+  ignore (measure (Bench_util.pow2 (List.hd ks)));
+  Printf.printf "cell = median (IQR) over %d passes\n" reps;
+  Printf.printf "%6s | %21s %21s | %21s %21s\n" "" "|X| = 1" "" "|X| = 2" "";
+  Printf.printf "%6s | %21s %21s | %21s %21s\n" "n" "insert" "delete" "insert" "delete";
   List.iter
     (fun k ->
       let n = Bench_util.pow2 k in
-      let i1, d1, i2, d2 = measure n in
-      Printf.printf "%8d | %12s %12s | %12s %12s\n%!" n (Bench_util.pretty_time i1)
-        (Bench_util.pretty_time d1) (Bench_util.pretty_time i2) (Bench_util.pretty_time d2))
+      let passes = List.init reps (fun _ -> measure n) in
+      let cell f =
+        let med, iqr = Bench_util.median_iqr (List.map f passes) in
+        Printf.sprintf "%s (%s)" (Bench_util.pretty_time med) (Bench_util.pretty_time iqr)
+      in
+      Printf.printf "%6d | %21s %21s | %21s %21s\n%!" n
+        (cell (fun (i1, _, _, _) -> i1))
+        (cell (fun (_, d1, _, _) -> d1))
+        (cell (fun (_, _, i2, _) -> i2))
+        (cell (fun (_, _, _, d2) -> d2)))
     ks;
   Printf.printf
     "\n\

@@ -10,7 +10,9 @@
 
     {!Path_oram} and {!Linear_oram} satisfy this signature (checked
     below); {!Recursive_path_oram} and {!Omap} have integer- and
-    budgeted-value-keyed variants of the same shape. *)
+    budgeted-value-keyed variants of the same shape.  Both Path ORAMs
+    are built on one tree engine, {!Path_tree}: the non-recursive one
+    adds a client position map, the recursive one a chain of map trees. *)
 
 module type S = sig
   type t

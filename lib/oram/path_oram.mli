@@ -11,7 +11,8 @@
 
     The client holds the position map and the stash; their byte sizes are
     charged to the cost ledger (this is the O(n) client memory of the
-    paper's Fig. 5). *)
+    paper's Fig. 5).  The tree itself is a {!Path_tree}, the engine it
+    shares with {!Recursive_path_oram}. *)
 
 type t
 
@@ -76,5 +77,5 @@ val stash_overflows : t -> int
 (** Number of accesses after which the stash exceeded {!stash_limit}. *)
 
 val access_count : t -> int
-(** Total physical accesses (including dummy accesses and setup writes are
-    excluded; one per {!access}/{!dummy_access} call). *)
+(** Physical path accesses so far: one per {!access} or {!dummy_access}
+    call, dummies included; set-up writes are not counted. *)

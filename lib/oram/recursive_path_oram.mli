@@ -15,8 +15,9 @@
     Key-Label ORAMs would additionally need an oblivious map on top; that
     is out of the paper's scope and ours.
 
-    Each server-side block stores its own assigned leaf alongside the
-    payload, so eviction never needs map lookups for stash residents. *)
+    Every tree is a {!Path_tree}, the engine {!Path_oram} uses too.  Each
+    server-side block stores its own assigned leaf alongside the payload,
+    so eviction never needs map lookups for stash residents. *)
 
 type t
 
@@ -34,11 +35,11 @@ val setup :
 (** [cache_levels] (default 0) asks every tree of the recursion — data
     and position-map trees alike — to keep its top
     [min cache_levels levels] levels decrypted client-side: accesses
-    read/write only the path suffix below the cached prefix, and all
-    trees' evictions for one logical access are deferred into a single
-    cross-store write batch.  With [cache_levels = 0] the trace and
-    ciphertext stream are bit-identical to the uncached
-    implementation. *)
+    read/write only the path suffix below the cached prefix.  Each
+    tree's eviction joins the write outbox and rides with the next
+    tree's fetch, so an access costs one round trip per tree at any
+    cache depth.  With [cache_levels = 0] the trace and ciphertext
+    stream are bit-identical to the uncached implementation. *)
 
 val access : t -> key:int -> (string option -> string option) -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val read : t -> key:int -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
@@ -50,8 +51,8 @@ val recursion_depth : t -> int
 
 val flush : t -> unit
 (** Write every tree's cached top levels back to the server through the
-    normal encrypted write path (one cross-store batch), then send the
-    server's write outbox, so the server-side trees form a complete
+    normal encrypted write path, in tree order, then send the server's
+    write outbox (one frame), so the server-side trees form a complete
     checkpoint.  The caches stay authoritative.  With
     [cache_levels = 0] no block is written: only the pending
     write-backs are sent. *)

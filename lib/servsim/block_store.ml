@@ -6,7 +6,7 @@ type storage =
 
 (* The write outbox as the cost ledger sees it, shared by every store of
    one server.  Writes are never sent on their own: remotely they queue
-   in the connection's outbox ({!Remote.queue_puts}) until the next read
+   in the connection's outbox ({!Remote.queue_put}) until the next read
    carries them ([Put_get]) or another request sends them first.  A
    frame is paid by the operation that opens it — the write into an
    empty outbox — so in-process runs keep a flag mirroring "a paid frame
@@ -137,47 +137,41 @@ let read_many t idxs =
   if idxs = [] then []
   else read_block_op t "read_many" idxs (fun conn -> Remote.multi_get conn ~store:t.name idxs)
 
-(* Every write — single, batch or cross-store — lands in the outbox:
-   applied (in-process) or mirrored (remote) now, traced now, one event
-   per block in group then item order, and sent with the next frame.  It
-   pays one round trip only when it opens the outbox.  All stores must
-   live on the same server (they share its trace, ledger and outbox);
-   the batch is bounds-checked whole before anything is mutated,
+(* Every write — single or batch — lands in the outbox: applied
+   (in-process) or mirrored (remote) now, traced now, one event per block
+   in item order, and sent with the next frame.  It pays one round trip
+   only when it opens the outbox, which all stores of one server share.
+   The batch is bounds-checked whole before anything is mutated,
    mirroring the server-side handler. *)
-let write_groups fname groups =
-  match List.filter (fun (_, items) -> items <> []) groups with
-  | [] -> ()
-  | (t0, _) :: _ as groups ->
-      List.iter (fun (t, items) -> List.iter (fun (i, _) -> check_bounds t i fname) items) groups;
-      let traced = Trace.enabled t0.trace in
-      let opens = not (pending t0.outbox) in
-      (match t0.outbox.conn with
-      | Some conn -> Remote.queue_puts conn (List.map (fun (t, items) -> (t.name, items)) groups)
-      | None -> if traced then t0.outbox.open_frame <- true);
-      List.iter
-        (fun (t, items) ->
-          List.iter
-            (fun (i, c) ->
-              let old =
-                match t.storage with
-                | Local_mem s ->
-                    let old = String.length s.blocks.(i) in
-                    s.blocks.(i) <- c;
-                    old
-                | Remote_conn r ->
-                    let old = r.lengths.(i) in
-                    r.lengths.(i) <- String.length c;
-                    old
-              in
-              resize t (String.length c - old);
-              if traced then begin
-                Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
-                Cost.sent_to_server t.cost (String.length c)
-              end)
-            items)
-        groups;
-      if traced && opens then Cost.round_trip t0.cost
+let write_batch fname t items =
+  if items <> [] then begin
+    List.iter (fun (i, _) -> check_bounds t i fname) items;
+    let traced = Trace.enabled t.trace in
+    let opens = not (pending t.outbox) in
+    (match t.outbox.conn with
+    | Some conn -> Remote.queue_put conn ~store:t.name items
+    | None -> if traced then t.outbox.open_frame <- true);
+    List.iter
+      (fun (i, c) ->
+        let old =
+          match t.storage with
+          | Local_mem s ->
+              let old = String.length s.blocks.(i) in
+              s.blocks.(i) <- c;
+              old
+          | Remote_conn r ->
+              let old = r.lengths.(i) in
+              r.lengths.(i) <- String.length c;
+              old
+        in
+        resize t (String.length c - old);
+        if traced then begin
+          Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
+          Cost.sent_to_server t.cost (String.length c)
+        end)
+      items;
+    if traced && opens then Cost.round_trip t.cost
+  end
 
-let write t i c = write_groups "write" [ (t, [ (i, c) ]) ]
-let write_many t items = write_groups "write_many" [ (t, items) ]
-let write_scatter groups = write_groups "write_scatter" groups
+let write t i c = write_batch "write" t [ (i, c) ]
+let write_many t items = write_batch "write_many" t items

@@ -61,20 +61,13 @@ val write_many : t -> (int * string) list -> unit
     One traced event per block; the batch joins the outbox.  The empty
     list performs no I/O at all. *)
 
-val write_scatter : (t * (int * string) list) list -> unit
-(** [write_scatter groups] writes every group's (slot, block) pairs, in
-    group order then item order — one traced event per block, all
-    joining the outbox.  All stores must belong to the same server.
-    Empty groups are skipped; an entirely empty batch performs no I/O at
-    all. *)
-
 (** {2 The write outbox} — one per server, shared by all its stores. *)
 
 type outbox
 
 val outbox : ?remote:Remote.t -> unit -> outbox
 (** A fresh, empty outbox; with [?remote] it is that connection's
-    ({!Remote.queue_puts}). *)
+    ({!Remote.queue_put}). *)
 
 val pending : outbox -> bool
 (** Is a write frame open — paid for but not yet on the wire? *)

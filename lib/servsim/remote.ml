@@ -14,7 +14,7 @@ type t = {
   puts : string Queue.t; (* op label per outstanding async put, for errors *)
   mutable manual : int;
   mutable unflushed : bool;
-  (* The write outbox: block writes queued by {!queue_puts}, newest group
+  (* The write outbox: block writes queued by {!queue_put}, newest group
      first.  The next read carries them in a [Put_get] frame; any other
      request first sends them as one [Scatter_put], so no request ever
      overtakes a pending write. *)
@@ -163,9 +163,9 @@ let send_async t ~what req =
 
 let pending t = t.outbox <> []
 
-let queue_puts t groups =
+let queue_put t ~store items =
   if t.closed then raise (Wire.Protocol_error "connection closed");
-  List.iter (fun ((_, items) as g) -> if items <> [] then t.outbox <- g :: t.outbox) groups
+  if items <> [] then t.outbox <- (store, items) :: t.outbox
 
 let take_outbox t =
   let groups = List.rev t.outbox in

@@ -34,13 +34,13 @@ val connect_tcp : ?namespace:string -> ?depth:int -> host:string -> port:int -> 
 
 val call : t -> Wire.request -> Wire.response
 (** Synchronous request/response; first sends the write outbox (see
-    {!queue_puts}) and collects every outstanding {!multi_put_async}
+    {!queue_put}) and collects every outstanding {!multi_put_async}
     acknowledgement (ordered matching).
     @raise Wire.Protocol_error on an [Error] response. *)
 
 (** {2 Write outbox (protocol v7)}
 
-    Block writes need no answer, so the client defers them: {!queue_puts}
+    Block writes need no answer, so the client defers them: {!queue_put}
     only records the groups, and the next {!multi_get}/{!get} sends them
     in the same [Put_get] frame as the read.  Every other request —
     {!call}, {!send}, {!pipelined}, the explicit put operations and
@@ -50,9 +50,9 @@ val call : t -> Wire.request -> Wire.response
     (a store dropped server-side) surfaces on the frame that carries
     it. *)
 
-val queue_puts : t -> (string * (int * string) list) list -> unit
-(** Append write groups (store, (slot, ciphertext) list) to the outbox,
-    skipping empty groups.  Sends nothing. *)
+val queue_put : t -> store:string -> (int * string) list -> unit
+(** Append one store's (slot, ciphertext) writes to the outbox as a
+    group; an empty list adds nothing.  Sends nothing. *)
 
 val pending : t -> bool
 (** Does the outbox hold writes not yet on the wire? *)

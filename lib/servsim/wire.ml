@@ -9,7 +9,7 @@ type request =
   | Multi_put of string * (int * string) list
   | Scatter_put of (string * (int * string) list) list
       (* cross-store batched write: all groups land in one frame (the
-         recursive ORAM's deferred path-suffix evictions) *)
+         client's write outbox, sent ahead of any request but a read) *)
   | Put_get of { puts : (string * (int * string) list) list; store : string; idxs : int list }
       (* the client's deferred writes, then one batched read, in one frame *)
   | Digest

@@ -21,9 +21,9 @@
       ([Begin_dynamic]/[Insert_row]/[Delete_row]/[Revalidate] answered
       by [Row_id]/[Fds_reply]) plus per-verb update counters in
       [Stats_reply].
-    - v6 added [Scatter_put], the cross-store batched write the
-      recursive ORAM's deferred path-suffix evictions ride in — one
-      frame per logical access instead of one per tree.
+    - v6 added [Scatter_put], a cross-store batched write in one
+      frame.  Since v7 it carries the write outbox ahead of any request
+      other than a read.
     - v7 adds [Put_get]: the client's deferred writes and its next
       batched read in one frame.  Clients queue every block write in a
       per-connection outbox and send it with the next read (or as one

@@ -23,6 +23,16 @@ let content_hash server =
     names;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* Order-insensitive digest of the retained trace events (the server
+   must be created with [~keep_events:true]). *)
+let events_digest tr =
+  Servsim.Trace.events tr |> List.sort compare
+  |> List.map (fun (e : Servsim.Trace.event) ->
+         Printf.sprintf "%s %c %d %d\n" e.store
+           (match e.op with Servsim.Trace.Read -> 'R' | Write -> 'W')
+           e.addr e.len)
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
 (* {2 Cache-off bit-identity: golden values captured on the pre-cache
       implementation.  Every digest, byte counter and ciphertext hash
       below predates the fast path; changing any of them means the
@@ -30,7 +40,7 @@ let content_hash server =
       re-derived once, for protocol v7's write outbox (each write-back
       rides with the next read); the derivation sits next to each.} *)
 
-let check_golden server ~full ~shape ~count ~to_server ~to_client ~trips ~content =
+let check_golden ?events server ~full ~shape ~count ~to_server ~to_client ~trips ~content =
   let tr = Servsim.Server.trace server in
   Alcotest.(check int64) "full digest" full (Servsim.Trace.full_digest tr);
   Alcotest.(check int64) "shape digest" shape (Servsim.Trace.shape_digest tr);
@@ -39,14 +49,17 @@ let check_golden server ~full ~shape ~count ~to_server ~to_client ~trips ~conten
   Alcotest.(check int) "bytes to server" to_server c.Servsim.Cost.bytes_to_server;
   Alcotest.(check int) "bytes to client" to_client c.Servsim.Cost.bytes_to_client;
   Alcotest.(check int) "round trips" trips c.Servsim.Cost.round_trips;
+  Option.iter
+    (fun d -> Alcotest.(check string) "sorted event multiset" d (events_digest tr))
+    events;
   (* Content last: reading the stores adds trace events. *)
   Alcotest.(check string) "ciphertext content" content (content_hash server)
 
-let test_golden_path () =
-  let server = Servsim.Server.create () in
+let golden_path_run ?cache_levels () =
+  let server = Servsim.Server.create ~keep_events:true () in
   let rng = Crypto.Rng.create 1 in
   let o =
-    Oram.Path_oram.setup ~name:"g-path"
+    Oram.Path_oram.setup ~name:"g-path" ?cache_levels
       { capacity = 64; key_len = 8; payload_len = 8 }
       server (cipher ()) (Crypto.Rng.int rng)
   in
@@ -57,6 +70,10 @@ let test_golden_path () =
     ignore (Oram.Path_oram.read o ~key:(enc_key i))
   done;
   Oram.Path_oram.remove o ~key:(enc_key 5);
+  (server, o)
+
+let test_golden_path () =
+  let server, _ = golden_path_run () in
   check_golden server ~full:0x78fae49dc16d03c1L ~shape:0x329acab8edb94975L ~count:2804
     ~to_server:79488 ~to_client:55104
     (* 3 set-up frames (create, ensure, initial write) + 41 accesses x 1:
@@ -64,17 +81,17 @@ let test_golden_path () =
     ~trips:44
     ~content:"5c6c0c3c0693ded1abe7146b86d4d952"
 
-let test_golden_recursive () =
+let golden_recursive_run ?cache_levels () =
   let pad24 i =
     let b = Bytes.make 24 '\000' in
     Relation.Codec.put_int64 b 0 (Int64.of_int i);
     Relation.Codec.put_int64 b 8 (Int64.of_int (i * 7));
     Bytes.to_string b
   in
-  let server = Servsim.Server.create () in
+  let server = Servsim.Server.create ~keep_events:true () in
   let rng = Crypto.Rng.create 5 in
   let o =
-    Oram.Recursive_path_oram.setup ~name:"g-rec"
+    Oram.Recursive_path_oram.setup ~name:"g-rec" ?cache_levels
       { capacity = 128; payload_len = 24; fanout = 16; top_cutoff = 8 }
       server (cipher ()) (Crypto.Rng.int rng)
   in
@@ -85,6 +102,10 @@ let test_golden_recursive () =
     ignore (Oram.Recursive_path_oram.read o ~key:i)
   done;
   Oram.Recursive_path_oram.remove o ~key:5;
+  (server, o)
+
+let test_golden_recursive () =
+  let server, o = golden_recursive_run () in
   Alcotest.(check int) "client bytes (top map only)" 64
     (Oram.Recursive_path_oram.client_state_bytes o);
   check_golden server ~full:0x50d73f26870f433dL ~shape:0x4d1d65557d0ff665L ~count:5016
@@ -93,6 +114,32 @@ let test_golden_recursive () =
        fetch carries the previous write-back, its evict opens a frame *)
     ~trips:88
     ~content:"ccc7569fd66c1527445f5969a089c5c5"
+
+(* {2 Cache-on goldens}: the cache-off workloads above at
+   [~cache_levels:2].  Counters, ciphertext content, client bytes and the
+   sorted multiset of trace events were captured before the two Path ORAM
+   trees were merged into one engine; the recursive full/shape digests
+   were re-pinned once at that merge, because sending each tree's
+   eviction straight to the write outbox only reorders the same writes
+   (the multiset pin proves it). *)
+
+let test_golden_path_cached () =
+  let server, o = golden_path_run ~cache_levels:2 () in
+  Alcotest.(check int) "client bytes" 496 (Oram.Path_oram.client_state_bytes o);
+  check_golden server ~full:0xd9208e48b9774e21L ~shape:0x8b53ffbd9b436455L ~count:2148
+    ~to_server:63744 ~to_client:39360 ~trips:44
+    ~events:"d9ad5a333384d836ab2c2798fa9afb1d"
+    ~content:"620e5114029749f3ac33e02c31cdf0bf"
+
+let test_golden_recursive_cached () =
+  let server, o = golden_recursive_run ~cache_levels:2 () in
+  Alcotest.(check int) "client bytes" 2272 (Oram.Recursive_path_oram.client_state_bytes o);
+  check_golden server ~full:0x428b7d26610cc06dL ~shape:0x15e6e1f48cd413e5L ~count:3704
+    ~to_server:196544 ~to_client:120704
+    (* 2 trees x 3 set-up frames + 41 accesses x 2 trees x 1 *)
+    ~trips:88
+    ~events:"c8ac199fe80b566cc40a6c2881f604da"
+    ~content:"087b9e6f45fc738c2f9eb231fff84f51"
 
 let test_golden_linear () =
   let server = Servsim.Server.create () in
@@ -418,9 +465,11 @@ let test_recursive_flush_one_frame () =
   Alcotest.(check (option string)) "read after flush" (Some (enc_val 3))
     (Oram.Recursive_path_oram.read o ~key:3)
 
-(* {2 Remote parity}: the deferred-eviction fast path speaks
-   [Scatter_put] over the real wire; a remote run must agree with the
-   local run on results, client-side digests and round-trip ledger. *)
+(* {2 Remote parity}: with the cache on, every tree's eviction rides in
+   the write outbox ([Put_get] with the next fetch) and the flush sends
+   the cached prefixes of all trees as one [Scatter_put] over the real
+   wire; a remote run must agree with the local run on results,
+   client-side digests and round-trip ledger. *)
 
 let test_remote_scatter_parity () =
   let run server =
@@ -461,6 +510,9 @@ let suite =
       Alcotest.test_case "golden path digests (cache off)" `Quick test_golden_path;
       Alcotest.test_case "golden recursive digests (cache off)" `Quick test_golden_recursive;
       Alcotest.test_case "golden linear digests (cache off)" `Quick test_golden_linear;
+      Alcotest.test_case "golden path digests (cache on)" `Quick test_golden_path_cached;
+      Alcotest.test_case "golden recursive digests (cache on)" `Quick
+        test_golden_recursive_cached;
       Alcotest.test_case "path model, cache=2" `Quick (test_path_model_cached 2);
       Alcotest.test_case "path model, cache=99 (clamped)" `Quick (test_path_model_cached 99);
       Alcotest.test_case "recursive model, cache=2" `Quick (test_recursive_model_cached 2);

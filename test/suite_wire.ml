@@ -488,10 +488,10 @@ let test_put_get_all_or_nothing () =
       ignore (Servsim.Remote.call conn (W.Ensure ("a", 2)));
       let view () = Servsim.Remote.server_digests conn in
       let v0 = view () in
-      Servsim.Remote.queue_puts conn [ ("a", [ (7, "p") ]) ];
+      Servsim.Remote.queue_put conn ~store:"a" [ (7, "p") ];
       Alcotest.(check bool) "remote put-part rejection" true
         (raises_protocol_error (fun () -> Servsim.Remote.multi_get conn ~store:"a" [ 0 ]));
-      Servsim.Remote.queue_puts conn [ ("a", [ (1, "p") ]) ];
+      Servsim.Remote.queue_put conn ~store:"a" [ (1, "p") ];
       Alcotest.(check bool) "remote get-part rejection" true
         (raises_protocol_error (fun () -> Servsim.Remote.multi_get conn ~store:"a" [ 0; 9 ]));
       Alcotest.(check bool) "outbox emptied by the carrying frame" false
@@ -579,12 +579,13 @@ let apply_store_op server live counter op =
                 B.write_many st (List.map (fun (i, v) -> (slot st i, v)) items);
                 []
             | Write_scatter groups ->
-                B.write_scatter
-                  (List.map
-                     (fun (k, items) ->
-                       let st = pick k in
-                       (st, List.map (fun (i, v) -> (slot st i, v)) items))
-                     groups);
+                (* Consecutive batches on several stores, as the recursive
+                   ORAM's flush writes them: one outbox, one frame. *)
+                List.iter
+                  (fun (k, items) ->
+                    let st = pick k in
+                    B.write_many st (List.map (fun (i, v) -> (slot st i, v)) items))
+                  groups;
                 []
             | Create | Drop _ | Ensure _ -> []))
 
